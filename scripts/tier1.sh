@@ -5,9 +5,12 @@
 # Usage: scripts/tier1.sh [--no-tsan]
 #
 # The TSan pass rebuilds into build-tsan/ so the instrumented objects
-# never mix with the regular tree. It runs only the monitor + engine +
-# daemon suites (the ones that exercise cross-thread paths); the plain
-# pass already covers everything else.
+# never mix with the regular tree. It builds the 13 test binaries that
+# exercise cross-thread paths (monitor, engine, daemon, fault, metrics,
+# IMA observability, tuner, executor batch, storage/buffer pool,
+# parallel scan, compression and server suites) and runs them through a
+# ctest name filter, then fault_test once more; the plain pass already
+# covers everything else.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -655,38 +655,7 @@ Result<std::vector<std::pair<Locator, Row>>> Database::CollectTargets(
     return true;
   };
 
-  switch (scan.access.kind) {
-    case optimizer::AccessPathKind::kSeqScan:
-      IMON_RETURN_IF_ERROR(storage_->Scan(table.info, consider));
-      break;
-    case optimizer::AccessPathKind::kPrimaryBtree:
-      IMON_RETURN_IF_ERROR(storage_->ScanPrimaryRange(
-          table.info, scan.access.eq_values, scan.access.lower,
-          scan.access.upper, consider));
-      break;
-    case optimizer::AccessPathKind::kPrimaryHash:
-      IMON_RETURN_IF_ERROR(
-          storage_->HashLookup(table.info, scan.access.eq_values, consider));
-      break;
-    case optimizer::AccessPathKind::kPrimaryIsam:
-      IMON_RETURN_IF_ERROR(storage_->ScanIsamRange(
-          table.info, scan.access.eq_values, scan.access.lower,
-          scan.access.upper, consider));
-      break;
-    case optimizer::AccessPathKind::kSecondaryIndex: {
-      IMON_RETURN_IF_ERROR(storage_->IndexScan(
-          scan.access.index, table.info, scan.access.eq_values,
-          scan.access.lower, scan.access.upper, [&](const Locator& loc) {
-            auto row = storage_->Fetch(table.info, loc);
-            if (!row.ok()) {
-              inner = row.status();
-              return false;
-            }
-            return consider(loc, *row);
-          }));
-      break;
-    }
-  }
+  IMON_RETURN_IF_ERROR(storage_->ScanPath(table.info, scan.access, consider));
   IMON_RETURN_IF_ERROR(inner);
   return out;
 }
@@ -1039,12 +1008,13 @@ Result<QueryResult> Database::ExecAnalyze(sql::AnalyzeStmt* stmt,
   IMON_RETURN_IF_ERROR(LockTable(session, table.id, txn::LockMode::kShared));
 
   std::vector<std::vector<Value>> samples(ordinals.size());
-  Status scan = storage_->Scan(table, [&](const Locator&, const Row& row) {
-    for (size_t i = 0; i < ordinals.size(); ++i) {
-      samples[i].push_back(row[ordinals[i]]);
-    }
-    return true;
-  });
+  Status scan = storage_->ScanPath(
+      table, optimizer::AccessPath{}, [&](const Locator&, const Row& row) {
+        for (size_t i = 0; i < ordinals.size(); ++i) {
+          samples[i].push_back(row[ordinals[i]]);
+        }
+        return true;
+      });
   if (!scan.ok()) {
     EndStatement(session, true);
     return scan;

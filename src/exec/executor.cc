@@ -79,50 +79,54 @@ Result<std::vector<Row>> ExecuteNode(const PlanNode& plan, ExecContext* ctx,
                                      size_t* node_counter);
 
 // ---------------------------------------------------------------------------
-// Morsel-driven parallel scans.
+// Morsel-driven scans.
 //
-// Eligible scans (every real-table access path except hash point probes)
-// split the structure's unit list — heap chain pages, B-Tree or index
-// leaves, ISAM chain heads, hash buckets — into fixed unit ranges
-// ("morsels") executed on the context's worker pool. Determinism
-// contract: morsel boundaries depend only on the structure, the access
-// path and `morsel_pages`, every per-morsel computation follows storage
-// order, and gather merges in morsel-index order — so results (and
-// grouped aggregates) are bit-identical for any worker count, including
-// the inline 1-lane pool.
+// Every real-table scan splits the structure's unit list — heap chain
+// pages, B-Tree or index leaves, ISAM chain heads, hash buckets (one for
+// a point probe) — into fixed unit ranges ("morsels") executed on the
+// context's worker pool, or inline as one lane when it has none.
+// Determinism contract: morsel boundaries depend only on the structure,
+// the access path and `morsel_pages`, every per-morsel computation
+// follows storage order, and gather merges in morsel-index order — so
+// results (and grouped aggregates) are bit-identical for any worker
+// count.
 // ---------------------------------------------------------------------------
 
-struct MorselPlan {
-  const optimizer::BoundTable* bt = nullptr;
-  StorageLayer::ParallelScanPlan scan;  ///< structure units in scan order
-  size_t morsel_pages = kDefaultMorselPages;
-  size_t count = 0;                     ///< number of morsels
-};
+/// Lanes the context's tasks run on: the pool's, or one inline lane.
+size_t LaneCount(const ExecContext* ctx) {
+  return ctx->workers != nullptr ? ctx->workers->lane_count() : 1;
+}
 
-bool MorselEligible(const PlanNode& plan, const ExecContext* ctx) {
-  if (ctx->workers == nullptr || ctx->tables == nullptr) return false;
-  if (plan.kind != PlanNodeKind::kScan) return false;
-  const optimizer::BoundTable& bt = (*ctx->tables)[plan.table_idx];
-  if (bt.is_virtual) return false;
-  switch (plan.access.kind) {
-    case AccessPathKind::kPrimaryHash:
-      return false;  // one bucket chain: nothing to split
-    case AccessPathKind::kSecondaryIndex:
-      // Virtual-index plans must reach the serial path's Internal error.
-      return !plan.access.index.is_virtual;
-    default:
-      return true;
+/// Run `fn(task, lane)` for every task in [0, count) on the context's
+/// pool, or inline as lane 0 when it has none.
+void RunTasks(ExecContext* ctx, size_t count,
+              const std::function<void(size_t, size_t)>& fn) {
+  if (ctx->workers != nullptr) {
+    ctx->workers->RunTasks(count, fn);
+  } else {
+    for (size_t i = 0; i < count; ++i) fn(i, 0);
   }
 }
 
+struct MorselPlan {
+  const optimizer::BoundTable* bt = nullptr;
+  StorageLayer::ScanPlan scan;  ///< structure units in scan order
+  size_t morsel_pages = kDefaultMorselPages;
+  size_t count = 0;             ///< number of morsels
+};
+
+/// Morsels of a scan node over a real (non-virtual) table.
 Result<MorselPlan> BuildMorselPlan(const PlanNode& plan, ExecContext* ctx) {
+  if (plan.access.kind == AccessPathKind::kSecondaryIndex &&
+      plan.access.index.is_virtual) {
+    return Status::Internal(
+        "attempted to execute a plan using virtual index '" +
+        plan.access.index.name + "'");
+  }
   MorselPlan mp;
   mp.bt = &(*ctx->tables)[plan.table_idx];
-  IMON_ASSIGN_OR_RETURN(
-      mp.scan, ctx->storage->BuildParallelScan(mp.bt->info, plan.access));
-  // Index-backed paths count one probe whether executed serially or in
-  // morsels.
-  if (plan.access.kind != AccessPathKind::kSeqScan) ++ctx->stats.index_probes;
+  IMON_ASSIGN_OR_RETURN(mp.scan,
+                        ctx->storage->BuildScan(mp.bt->info, plan.access));
   mp.morsel_pages = std::max<size_t>(1, ctx->morsel_pages);
   mp.count = (mp.scan.units.size() + mp.morsel_pages - 1) / mp.morsel_pages;
   if (ctx->metrics != nullptr) {
@@ -131,8 +135,7 @@ Result<MorselPlan> BuildMorselPlan(const PlanNode& plan, ExecContext* ctx) {
         ->Add(1);
     ctx->metrics->GetCounter("exec.morsels_total")
         ->Add(static_cast<int64_t>(mp.count));
-    size_t lanes =
-        std::min(ctx->workers->lane_count(), std::max<size_t>(1, mp.count));
+    size_t lanes = std::min(LaneCount(ctx), std::max<size_t>(1, mp.count));
     ctx->metrics->GetGauge("exec.morsel_lanes")
         ->Set(static_cast<int64_t>(lanes));
   }
@@ -147,10 +150,10 @@ struct LaneScratch {
 };
 
 /// Scan morsel `m`, applying the node's filter chain (compiled batch
-/// path or scalar fallback, matching ExecuteScan). Survivors reach
-/// `sink` in storage order; the sink returns false to end the morsel
-/// early (not an error). Returns rows examined. Must not touch
-/// ctx->stats: workers run this concurrently.
+/// path or scalar fallback). Survivors reach `sink` in storage order;
+/// the sink returns false to end the morsel early (not an error).
+/// Returns rows examined. Must not touch ctx->stats: workers run this
+/// concurrently.
 Result<int64_t> ScanMorselFiltered(const MorselPlan& mp, size_t m,
                                    const PlanNode& plan,
                                    const std::vector<ExprProgram>* programs,
@@ -263,7 +266,7 @@ Status PruneMorselTopK(const PlanNode& plan, ExecContext* ctx,
   return Status::OK();
 }
 
-/// Morsel-parallel seq scan producing filtered rows in storage order.
+/// Morsel scan producing filtered rows in storage order.
 /// `per_morsel_limit` caps survivors per morsel (bare LIMIT pushdown:
 /// only a morsel's first k survivors can reach the global first k);
 /// `topk` prunes each morsel to its ORDER BY top-k instead.
@@ -274,18 +277,18 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
                                           const TopKSpec* topk) {
   const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
-  WorkerPool& pool = *ctx->workers;
-  std::vector<LaneScratch> lanes(pool.lane_count());
+  std::vector<LaneScratch> lanes(LaneCount(ctx));
   std::vector<std::vector<Row>> rows(mp.count);
   std::vector<int64_t> examined(mp.count, 0);
   std::vector<Status> errors(mp.count, Status::OK());
   std::atomic<bool> failed{false};
-  pool.RunTasks(mp.count, [&](size_t m, size_t lane) {
+  RunTasks(ctx, mp.count, [&](size_t m, size_t lane) {
     if (failed.load(std::memory_order_relaxed)) return;
     LaneScratch& ls = lanes[lane];
     std::vector<Row>& dst = rows[m];
     auto res = ScanMorselFiltered(
         mp, m, plan, programs, capacity, ctx, &ls, [&](const Row& r) {
+          if (dst.size() >= per_morsel_limit) return false;  // LIMIT 0
           dst.push_back(r);
           return dst.size() < per_morsel_limit;
         });
@@ -321,146 +324,62 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
 
 Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
                                      size_t node_idx) {
-  if (MorselEligible(plan, ctx)) {
+  const optimizer::BoundTable& bt = (*ctx->tables)[plan.table_idx];
+  if (!bt.is_virtual) {
     IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
     return ParallelScanRows(plan, ctx, node_idx, mp,
                             std::numeric_limits<size_t>::max(), nullptr);
   }
-  const optimizer::BoundTable& bt = (*ctx->tables)[plan.table_idx];
-  std::vector<Row> out;
-  Status inner = Status::OK();
 
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
-  const size_t capacity = std::max<size_t>(1, ctx->batch_size);
-  RowBatch batch;
-  EvalScratch scratch;
-
-  // Vectorized consume: gather into the batch arena by swapping with
-  // the scan's decode buffer — storage scans permit mutation, and the
-  // swap hands the slot's old storage back for the next in-place decode.
-  auto consider_batch = [&](Row& row) -> bool {
-    batch.PushSwap(&row);
-    if (batch.full(capacity)) {
-      Status st = FlushBatch(*programs, &batch, &scratch, &out, ctx);
-      if (!st.ok()) {
-        inner = st;
-        return false;
+  // Virtual IMA table: filter the provider's snapshot. Sequence
+  // pushdown: a conjunct of the form seq > <literal> on the provider's
+  // monotone sequence column lets the provider materialize only the new
+  // tail (the daemon's incremental poll path).
+  int seq_col = bt.provider->SeqColumn();
+  int64_t min_seq = -1;
+  if (seq_col >= 0) {
+    for (const Expr* f : plan.filters) {
+      if (f->kind != sql::ExprKind::kBinary) continue;
+      if (f->binary_op != sql::BinaryOp::kGt) continue;
+      const Expr* l = f->lhs.get();
+      const Expr* r = f->rhs.get();
+      if (l->kind == sql::ExprKind::kColumnRef &&
+          l->bound_table == plan.table_idx && l->bound_column == seq_col &&
+          r->kind == sql::ExprKind::kLiteral &&
+          r->literal.type() == TypeId::kInt && !r->literal.is_null()) {
+        min_seq = std::max(min_seq, r->literal.AsInt());
       }
     }
-    return true;
-  };
-
-  // Scalar fallback: interpret the filter ASTs row by row.
-  auto consider_scalar = [&](const Row& row) -> bool {
-    auto pass = PassesFilters(plan.filters, plan.layout, row, ctx);
-    if (!pass.ok()) {
-      inner = pass.status();
-      return false;
+  }
+  std::vector<Row> rows = min_seq >= 0 ? bt.provider->SnapshotSince(min_seq)
+                                       : bt.provider->Snapshot();
+  std::vector<Row> out;
+  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
+  if (programs != nullptr) {
+    // Vectorized consume: gather into the batch arena by swapping with
+    // the snapshot's rows, which are not needed afterwards.
+    const size_t capacity = std::max<size_t>(1, ctx->batch_size);
+    RowBatch batch;
+    EvalScratch scratch;
+    for (Row& row : rows) {
+      batch.PushSwap(&row);
+      if (batch.full(capacity)) {
+        IMON_RETURN_IF_ERROR(
+            FlushBatch(*programs, &batch, &scratch, &out, ctx));
+      }
     }
-    if (*pass) out.push_back(row);
-    return true;
-  };
-
-  auto consider = [&](Row& row) -> bool {
-    if (programs != nullptr) return consider_batch(row);
-    return consider_scalar(row);
-  };
-
-  auto finish = [&]() -> Status {
-    IMON_RETURN_IF_ERROR(inner);
-    if (programs != nullptr && batch.filled > 0) {
+    if (batch.filled > 0) {
       IMON_RETURN_IF_ERROR(
           FlushBatch(*programs, &batch, &scratch, &out, ctx));
     }
-    return Status::OK();
-  };
-
-  if (bt.is_virtual) {
-    // Sequence pushdown: a conjunct of the form seq > <literal> on the
-    // provider's monotone sequence column lets the provider materialize
-    // only the new tail (the daemon's incremental poll path).
-    int seq_col = bt.provider->SeqColumn();
-    int64_t min_seq = -1;
-    if (seq_col >= 0) {
-      for (const Expr* f : plan.filters) {
-        if (f->kind != sql::ExprKind::kBinary) continue;
-        if (f->binary_op != sql::BinaryOp::kGt) continue;
-        const Expr* l = f->lhs.get();
-        const Expr* r = f->rhs.get();
-        if (l->kind == sql::ExprKind::kColumnRef &&
-            l->bound_table == plan.table_idx && l->bound_column == seq_col &&
-            r->kind == sql::ExprKind::kLiteral &&
-            r->literal.type() == TypeId::kInt && !r->literal.is_null()) {
-          min_seq = std::max(min_seq, r->literal.AsInt());
-        }
-      }
-    }
-    std::vector<Row> rows = min_seq >= 0 ? bt.provider->SnapshotSince(min_seq)
-                                         : bt.provider->Snapshot();
-    if (programs != nullptr) {
-      for (Row& row : rows) {
-        if (!consider_batch(row)) break;
-      }
-    } else {
-      for (const Row& row : rows) {
-        if (!consider_scalar(row)) break;
-      }
-    }
-    IMON_RETURN_IF_ERROR(finish());
-    return out;
-  }
-
-  switch (plan.access.kind) {
-    case AccessPathKind::kSeqScan:
-      IMON_RETURN_IF_ERROR(ctx->storage->Scan(
-          bt.info, [&](const Locator&, Row& row) { return consider(row); }));
-      break;
-    case AccessPathKind::kPrimaryBtree:
-      ++ctx->stats.index_probes;
-      IMON_RETURN_IF_ERROR(ctx->storage->ScanPrimaryRange(
-          bt.info, plan.access.eq_values, plan.access.lower,
-          plan.access.upper,
-          [&](const Locator&, Row& row) { return consider(row); }));
-      break;
-    case AccessPathKind::kPrimaryHash:
-      ++ctx->stats.index_probes;
-      // Collisions share the bucket; the eq conjuncts in `filters`
-      // discard them inside consider().
-      IMON_RETURN_IF_ERROR(ctx->storage->HashLookup(
-          bt.info, plan.access.eq_values,
-          [&](const Locator&, Row& row) { return consider(row); }));
-      break;
-    case AccessPathKind::kPrimaryIsam:
-      ++ctx->stats.index_probes;
-      // The directory only routes; out-of-range rows in the visited
-      // chains are discarded by the filters inside consider().
-      IMON_RETURN_IF_ERROR(ctx->storage->ScanIsamRange(
-          bt.info, plan.access.eq_values, plan.access.lower,
-          plan.access.upper,
-          [&](const Locator&, Row& row) { return consider(row); }));
-      break;
-    case AccessPathKind::kSecondaryIndex: {
-      if (plan.access.index.is_virtual) {
-        return Status::Internal(
-            "attempted to execute a plan using virtual index '" +
-            plan.access.index.name + "'");
-      }
-      ++ctx->stats.index_probes;
-      IMON_RETURN_IF_ERROR(ctx->storage->IndexScan(
-          plan.access.index, bt.info, plan.access.eq_values,
-          plan.access.lower, plan.access.upper,
-          [&](const Locator& loc) {
-            auto row = ctx->storage->Fetch(bt.info, loc);
-            if (!row.ok()) {
-              inner = row.status();
-              return false;
-            }
-            return consider(*row);
-          }));
-      break;
+  } else {
+    // Scalar fallback: interpret the filter ASTs row by row.
+    for (const Row& row : rows) {
+      IMON_ASSIGN_OR_RETURN(bool pass,
+                            PassesFilters(plan.filters, plan.layout, row, ctx));
+      if (pass) out.push_back(row);
     }
   }
-  IMON_RETURN_IF_ERROR(finish());
   return out;
 }
 
@@ -500,7 +419,7 @@ Result<bool> JoinConditionsHold(const PlanNode& plan, const Row& combined,
 // every hash bucket lists inner-row indices ascending. Both constants
 // are worker-count independent, so partition contents — and therefore
 // probe emission order — are identical for any worker count, including
-// the serial (null-pool) fallback, which runs the same phases inline.
+// a null pool, whose single lane runs the same phases inline.
 // ---------------------------------------------------------------------------
 
 /// Build-side partition count (fixed: partition assignment must never
@@ -517,15 +436,6 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
   IMON_ASSIGN_OR_RETURN(std::vector<Row> inner_rows,
                         ExecuteNode(*plan.right, ctx, node_counter));
 
-  auto run = [&](size_t count,
-                 const std::function<void(size_t, size_t)>& fn) {
-    if (ctx->workers != nullptr) {
-      ctx->workers->RunTasks(count, fn);
-    } else {
-      for (size_t i = 0; i < count; ++i) fn(i, 0);
-    }
-  };
-
   // Phase A: per-chunk key evaluation + partition routing. Chunks write
   // disjoint slices of inner_keys and their own keyed[] slots; Eval over
   // the const expression tree is thread-safe.
@@ -537,7 +447,7 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
   std::vector<std::vector<std::pair<uint64_t, size_t>>> keyed(
       chunks * kJoinPartitions);
   std::vector<Status> chunk_errors(chunks, Status::OK());
-  run(chunks, [&](size_t c, size_t) {
+  RunTasks(ctx, chunks, [&](size_t c, size_t) {
     size_t begin = c * kJoinBuildChunkRows;
     size_t end = std::min(n, begin + kJoinBuildChunkRows);
     for (size_t i = begin; i < end; ++i) {
@@ -567,7 +477,7 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
   // because chunks are folded in chunk order.
   std::vector<std::unordered_map<uint64_t, std::vector<size_t>>> parts(
       kJoinPartitions);
-  run(kJoinPartitions, [&](size_t p, size_t) {
+  RunTasks(ctx, kJoinPartitions, [&](size_t p, size_t) {
     size_t total = 0;
     for (size_t c = 0; c < chunks; ++c) {
       total += keyed[c * kJoinPartitions + p].size();
@@ -647,19 +557,26 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
       NodePrograms(ctx, inner_idx);
   EvalScratch scratch;
   const optimizer::BoundTable& bt = (*ctx->tables)[inner_scan.table_idx];
+  // One access path for the whole join; each probe refills only its
+  // equality values.
+  optimizer::AccessPath probe = plan.inner_access;
 
   std::vector<Row> out;
   for (const Row& outer : outer_rows) {
     // Probe key values from the outer row.
-    std::vector<Value> probe;
+    probe.eq_values.clear();
     bool null_probe = false;
     for (const Expr* e : plan.probe_exprs) {
       IMON_ASSIGN_OR_RETURN(Value v, Eval(*e, plan.left->layout, outer));
       if (v.is_null()) null_probe = true;
-      probe.push_back(std::move(v));
+      probe.eq_values.push_back(std::move(v));
     }
     if (null_probe) continue;
-    ++ctx->stats.index_probes;
+    if (probe.kind == AccessPathKind::kSecondaryIndex &&
+        probe.index.is_virtual) {
+      return Status::Internal("attempted to probe virtual index '" +
+                              probe.index.name + "'");
+    }
 
     Status inner_status = Status::OK();
     auto handle_inner = [&](const Row& inner_row) -> bool {
@@ -683,27 +600,9 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
       return true;
     };
 
-    if (plan.inner_access.kind == AccessPathKind::kPrimaryBtree) {
-      IMON_RETURN_IF_ERROR(ctx->storage->ScanPrimaryRange(
-          bt.info, probe, std::nullopt, std::nullopt,
-          [&](const Locator&, const Row& row) { return handle_inner(row); }));
-    } else {
-      if (plan.inner_access.index.is_virtual) {
-        return Status::Internal(
-            "attempted to probe virtual index '" +
-            plan.inner_access.index.name + "'");
-      }
-      IMON_RETURN_IF_ERROR(ctx->storage->IndexScan(
-          plan.inner_access.index, bt.info, probe, std::nullopt,
-          std::nullopt, [&](const Locator& loc) {
-            auto row = ctx->storage->Fetch(bt.info, loc);
-            if (!row.ok()) {
-              inner_status = row.status();
-              return false;
-            }
-            return handle_inner(*row);
-          }));
-    }
+    IMON_RETURN_IF_ERROR(ctx->storage->ScanPath(
+        bt.info, probe,
+        [&](const Locator&, const Row& row) { return handle_inner(row); }));
     IMON_RETURN_IF_ERROR(inner_status);
   }
   return out;
@@ -798,7 +697,7 @@ struct Group {
 
 /// Insertion-ordered group hash table. Because merge processes morsels
 /// in index order and each morsel discovers groups in storage order, the
-/// merged insertion order equals the serial first-seen order.
+/// merged insertion order equals one in-order pass's first-seen order.
 struct GroupTable {
   std::vector<Group> groups;
   std::unordered_map<uint64_t, std::vector<size_t>> index;
@@ -834,8 +733,8 @@ struct GroupTable {
 };
 
 /// Evaluates group keys and aggregate arguments for one input row and
-/// folds them into a GroupTable. Shared by the serial aggregation loop
-/// and the per-morsel partial aggregation tasks.
+/// folds them into a GroupTable. Shared by the aggregation loop over
+/// materialized join output and the per-morsel partial aggregation tasks.
 struct GroupAccumulator {
   const BoundSelect* bound = nullptr;
   const PlanNode* plan = nullptr;
@@ -902,13 +801,12 @@ Result<GroupTable> ParallelAggregateScan(const BoundSelect& bound,
                                          const MorselPlan& mp) {
   const std::vector<ExprProgram>* programs = NodePrograms(ctx, 0);
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
-  WorkerPool& pool = *ctx->workers;
-  std::vector<LaneScratch> lanes(pool.lane_count());
+  std::vector<LaneScratch> lanes(LaneCount(ctx));
   std::vector<GroupTable> tables(mp.count);
   std::vector<int64_t> examined(mp.count, 0);
   std::vector<Status> errors(mp.count, Status::OK());
   std::atomic<bool> failed{false};
-  pool.RunTasks(mp.count, [&](size_t m, size_t lane) {
+  RunTasks(ctx, mp.count, [&](size_t m, size_t lane) {
     if (failed.load(std::memory_order_relaxed)) return;
     LaneScratch& ls = lanes[lane];
     GroupAccumulator acc;
@@ -965,11 +863,12 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
   std::vector<Group> groups;  // storage for aggregate path
   std::vector<Row> rows;      // storage for non-aggregate path
 
-  // Root-scan morsel pushdown. When the whole plan is one eligible heap
+  // Root-scan morsel pushdown. When the whole plan is one real-table
   // scan, aggregates accumulate per morsel and merge at the gather
   // point, and ORDER BY/LIMIT prune per morsel, instead of
   // materializing the full scan output first.
-  const bool root_morsels = MorselEligible(plan, ctx);
+  const bool root_morsels = plan.kind == PlanNodeKind::kScan &&
+                            !(*ctx->tables)[plan.table_idx].is_virtual;
 
   if (bound.has_aggregates) {
     if (root_morsels) {
@@ -1019,12 +918,13 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       logical = std::move(kept);
     }
   } else {
-    if (root_morsels && stmt.limit.has_value() && !stmt.distinct) {
-      // LIMIT pushdown into the morsels. Mirrors the projection loop's
-      // "emit, then check >= limit" semantics (which outputs one row
-      // even for LIMIT 0), hence the max with 1.
+    // Hash point probes stay out: they examine their whole bucket chain,
+    // collisions included, so rows_examined does not depend on LIMIT.
+    if (root_morsels && stmt.limit.has_value() && !stmt.distinct &&
+        plan.access.kind != AccessPathKind::kPrimaryHash) {
+      // LIMIT pushdown into the morsels.
       IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
-      size_t k = static_cast<size_t>(std::max<int64_t>(1, *stmt.limit));
+      size_t k = static_cast<size_t>(*stmt.limit);
       if (stmt.order_by.empty()) {
         IMON_ASSIGN_OR_RETURN(rows,
                               ParallelScanRows(plan, ctx, 0, mp, k, nullptr));
@@ -1080,6 +980,10 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
   // Projection (+ DISTINCT + LIMIT).
   std::set<std::string> seen_distinct;
   for (const Logical& l : logical) {
+    if (stmt.limit.has_value() &&
+        static_cast<int64_t>(result.rows.size()) >= *stmt.limit) {
+      break;
+    }
     Row out_row;
     out_row.reserve(bound.items.size());
     for (size_t i = 0; i < bound.items.size(); ++i) {
@@ -1098,10 +1002,6 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       if (!seen_distinct.insert(std::move(fingerprint)).second) continue;
     }
     result.rows.push_back(std::move(out_row));
-    if (stmt.limit.has_value() &&
-        static_cast<int64_t>(result.rows.size()) >= *stmt.limit) {
-      break;
-    }
   }
   ctx->stats.rows_output += static_cast<int64_t>(result.rows.size());
   return result;

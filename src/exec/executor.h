@@ -34,7 +34,6 @@ inline constexpr size_t kDefaultMorselPages = 32;
 struct RuntimeStats {
   int64_t rows_examined = 0;  ///< tuples pulled through operators
   int64_t rows_output = 0;
-  int64_t index_probes = 0;
 };
 
 struct ExecContext {
@@ -47,10 +46,10 @@ struct ExecContext {
   /// Compiled programs for the statement, or null to interpret the AST
   /// per row (the scalar fallback; also the benchmark baseline).
   const CompiledSelect* compiled = nullptr;
-  /// Worker pool for morsel-parallel scans (all non-virtual access paths
-  /// except hash point probes), or null for the serial path. A 1-lane
-  /// pool still routes eligible scans through the morsel machinery
-  /// (inline), keeping results identical across worker counts.
+  /// Worker pool the morsels of every real-table scan (and the hash-join
+  /// build chunks) run on. Null means one inline lane, exactly like a
+  /// 1-lane pool: there is no separate serial path, so results are
+  /// identical across worker counts.
   WorkerPool* workers = nullptr;
   /// Pages per morsel for parallel scans.
   size_t morsel_pages = kDefaultMorselPages;

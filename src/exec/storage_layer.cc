@@ -144,8 +144,8 @@ Status StorageLayer::CreateIndexStorage(IndexInfo* idx,
   IMON_RETURN_IF_ERROR(tree->Create());
   // Backfill from current rows.
   Status inner = Status::OK();
-  IMON_RETURN_IF_ERROR(
-      Scan(table, [&](const Locator& loc, const Row& row) {
+  IMON_RETURN_IF_ERROR(ScanPath(
+      table, optimizer::AccessPath{}, [&](const Locator& loc, const Row& row) {
         auto key = IndexKeyOf(*idx, table, row);
         if (!key.ok()) {
           inner = key.status();
@@ -339,43 +339,6 @@ Result<Row> StorageLayer::Fetch(const TableInfo& table, const Locator& loc) {
   return DeserializeRow(cursor.payload());
 }
 
-Status StorageLayer::Scan(
-    const TableInfo& table,
-    const std::function<bool(const Locator&, Row&)>& fn) {
-  if (table.structure == StorageStructure::kHeap) {
-    return HeapFor(table)->Scan([&](Rid rid, Row& row) {
-      return fn(PackRid(rid), row);
-    });
-  }
-  if (table.structure == StorageStructure::kHash) {
-    return HashFor(table)->Scan([&](Rid rid, Row& row) {
-      return fn(PackRid(rid), row);
-    });
-  }
-  if (table.structure == StorageStructure::kIsam) {
-    return IsamFor(table)->Scan([&](Rid rid, Row& row) {
-      return fn(PackRid(rid), row);
-    });
-  }
-  // Leaf-at-a-time: one buffer-pool pin per leaf page, rows decoded
-  // straight out of the pinned page into a reused Row buffer.
-  BTree* tree = BtreeFor(table.file_id);
-  Status inner = Status::OK();
-  Row row;
-  Locator loc;
-  IMON_RETURN_IF_ERROR(tree->ScanFrom(
-      "", [&](std::string_view key, std::string_view payload) {
-        Status st = DeserializeRowInto(payload, &row);
-        if (!st.ok()) {
-          inner = st;
-          return false;
-        }
-        loc.assign(key.data(), key.size());
-        return fn(loc, row);
-      }));
-  return inner;
-}
-
 Result<StorageLayer::EncodedRange> StorageLayer::EncodeRange(
     const std::vector<TypeId>& key_types, const std::vector<Value>& eq,
     const std::optional<optimizer::KeyBound>& lower,
@@ -408,58 +371,6 @@ Result<StorageLayer::EncodedRange> StorageLayer::EncodeRange(
     out.has_upper = true;
   }
   return out;
-}
-
-namespace {
-
-/// Shared range-iteration logic over a BTree given an EncodedRange.
-/// `fn(user_key, payload)` returns false to stop. Runs on the
-/// leaf-at-a-time ScanFrom path (one pin per leaf, no entry copies).
-Status IterateRange(
-    BTree* tree, const StorageLayer::EncodedRange& range,
-    const std::function<bool(std::string_view, std::string_view)>& fn) {
-  return tree->ScanFrom(
-      range.lower, [&](std::string_view key, std::string_view payload) {
-        if (!StartsWith(key, range.eq_prefix)) return false;
-        if (range.has_upper) {
-          int cmp = key.compare(range.upper_limit);
-          bool is_prefix = StartsWith(key, range.upper_limit);
-          if (range.upper_open) {
-            if (cmp >= 0) return false;  // includes the exact/prefix case
-          } else {
-            if (cmp > 0 && !is_prefix) return false;
-          }
-        }
-        if (!range.lower_exclusive_prefix.empty() &&
-            StartsWith(key, range.lower_exclusive_prefix)) {
-          return true;
-        }
-        return fn(key, payload);
-      });
-}
-
-}  // namespace
-
-Result<std::vector<uint32_t>> StorageLayer::HeapPageChain(
-    const TableInfo& table) {
-  if (table.structure != StorageStructure::kHeap) {
-    return Status::Internal("page chain requested for non-HEAP table");
-  }
-  std::vector<uint32_t> pages;
-  IMON_RETURN_IF_ERROR(HeapFor(table)->PageChain(&pages));
-  return pages;
-}
-
-Status StorageLayer::ScanHeapPages(
-    const TableInfo& table, const std::vector<uint32_t>& pages, size_t begin,
-    size_t end, const std::function<bool(const Locator&, Row&)>& fn) {
-  if (table.structure != StorageStructure::kHeap) {
-    return Status::Internal("page-range scan requested for non-HEAP table");
-  }
-  if (begin >= end) return Status::OK();
-  return HeapFor(table)->ScanPages(
-      pages.data() + begin, end - begin,
-      [&](Rid rid, Row& row) { return fn(PackRid(rid), row); });
 }
 
 Status StorageLayer::EncodeIsamBounds(
@@ -496,108 +407,21 @@ Status StorageLayer::EncodeIsamBounds(
   return Status::OK();
 }
 
-Status StorageLayer::ScanIsamRange(
-    const TableInfo& table, const std::vector<Value>& eq_prefix,
-    const std::optional<optimizer::KeyBound>& lower,
-    const std::optional<optimizer::KeyBound>& upper,
-    const std::function<bool(const Locator&, Row&)>& fn) {
-  if (table.structure != StorageStructure::kIsam) {
-    return Status::Internal("ISAM range scan on non-ISAM table");
-  }
-  std::string low, high;
-  IMON_RETURN_IF_ERROR(EncodeIsamBounds(table, eq_prefix, lower, upper, &low,
-                                        &high));
-  return IsamFor(table)->ScanRange(low, high, [&](Rid rid, Row& row) {
-    return fn(PackRid(rid), row);
-  });
-}
-
-Status StorageLayer::HashLookup(
-    const TableInfo& table, const std::vector<Value>& key_values,
-    const std::function<bool(const Locator&, Row&)>& fn) {
-  if (table.structure != StorageStructure::kHash) {
-    return Status::Internal("hash lookup on non-HASH table");
-  }
-  std::vector<int> key_cols = BtreeKeyColumns(table);
-  if (key_values.size() != key_cols.size()) {
-    return Status::Internal("hash lookup requires the full key");
-  }
-  std::string key;
-  for (size_t i = 0; i < key_cols.size(); ++i) {
-    IMON_ASSIGN_OR_RETURN(Value v,
-                          key_values[i].CastTo(
-                              table.columns[key_cols[i]].type));
-    storage::EncodeKeyValue(v, &key);
-  }
-  return HashFor(table)->LookupBucket(key, [&](Rid rid, Row& row) {
-    return fn(PackRid(rid), row);
-  });
-}
-
-Status StorageLayer::ScanPrimaryRange(
-    const TableInfo& table, const std::vector<Value>& eq_prefix,
-    const std::optional<optimizer::KeyBound>& lower,
-    const std::optional<optimizer::KeyBound>& upper,
-    const std::function<bool(const Locator&, Row&)>& fn) {
-  if (table.structure != StorageStructure::kBtree) {
-    return Status::Internal("primary range scan on non-BTREE table");
-  }
-  std::vector<int> key_cols = BtreeKeyColumns(table);
-  std::vector<TypeId> types;
-  for (int ord : key_cols) types.push_back(table.columns[ord].type);
-  IMON_ASSIGN_OR_RETURN(EncodedRange range,
-                        EncodeRange(types, eq_prefix, lower, upper));
-  Status inner = Status::OK();
-  Row row;
-  Locator loc;
-  IMON_RETURN_IF_ERROR(IterateRange(
-      BtreeFor(table.file_id), range,
-      [&](std::string_view key, std::string_view payload) {
-        Status st = DeserializeRowInto(payload, &row);
-        if (!st.ok()) {
-          inner = st;
-          return false;
-        }
-        loc.assign(key.data(), key.size());
-        return fn(loc, row);
-      }));
-  return inner;
-}
-
-Status StorageLayer::IndexScan(
-    const IndexInfo& idx, const TableInfo& table,
-    const std::vector<Value>& eq_prefix,
-    const std::optional<optimizer::KeyBound>& lower,
-    const std::optional<optimizer::KeyBound>& upper,
-    const std::function<bool(const Locator&)>& fn) {
-  std::vector<TypeId> types;
-  for (int ord : idx.key_columns) types.push_back(table.columns[ord].type);
-  IMON_ASSIGN_OR_RETURN(EncodedRange range,
-                        EncodeRange(types, eq_prefix, lower, upper));
-  Locator loc;
-  return IterateRange(BtreeFor(idx.file_id), range,
-                      [&](std::string_view, std::string_view payload) {
-                        loc.assign(payload.data(), payload.size());
-                        return fn(loc);
-                      });
-}
-
 namespace {
 
-/// Verdict of the per-entry range predicate on parallel leaf scans.
+/// Verdict of the per-entry range predicate on leaf units.
 enum class RangeCheck {
   kYield,  ///< entry is in range
   kSkip,   ///< entry is outside but later ones may match
   kStop,   ///< entry and everything after it are outside
 };
 
-/// Serial-equivalent range predicate. The serial path seeks to
-/// range.lower and then applies IterateRange's checks; parallel leaf
-/// units cannot seek, so entries below the seek target (possible only on
-/// the chain's first leaf — key encodings are prefix-free, making the
-/// user-key comparison equivalent to the full-key lower bound) are
-/// skipped here instead. The kStop conditions are monotone in key order,
-/// so stopping inside any unit stops at the same entry the serial scan
+/// Range predicate over user keys. Only the chain's first leaf holds
+/// entries below range.lower (key encodings are prefix-free, making the
+/// user-key comparison equivalent to the full-key lower bound); ScanUnits
+/// seeks past them and LeafChain's look at that leaf's last entry skips
+/// them. The kStop conditions are monotone in key order, so stopping
+/// inside any unit stops at the same entry one pass over every unit
 /// would.
 RangeCheck CheckRange(const StorageLayer::EncodedRange& range,
                       std::string_view key) {
@@ -619,9 +443,8 @@ RangeCheck CheckRange(const StorageLayer::EncodedRange& range,
   return RangeCheck::kYield;
 }
 
-/// LeafChain keep-going predicate: a later leaf is consulted through its
-/// first live user key, and the chain ends exactly where the serial
-/// scan's early stop would fire.
+/// LeafChain keep-going predicate: the chain ends exactly where a scan
+/// of its leaves would stop.
 std::function<bool(std::string_view)> KeepGoing(
     const StorageLayer::EncodedRange& range) {
   return [&range](std::string_view key) {
@@ -629,43 +452,55 @@ std::function<bool(std::string_view)> KeepGoing(
   };
 }
 
+std::vector<TypeId> KeyTypes(const TableInfo& table,
+                             const std::vector<int>& key_cols) {
+  std::vector<TypeId> types;
+  types.reserve(key_cols.size());
+  for (int ord : key_cols) types.push_back(table.columns[ord].type);
+  return types;
+}
+
+/// Key types of the primary structure: the PK's, or every column's.
+std::vector<TypeId> PrimaryKeyTypes(const TableInfo& table) {
+  if (!table.primary_key.empty()) return KeyTypes(table, table.primary_key);
+  std::vector<TypeId> types;
+  for (const auto& c : table.columns) types.push_back(c.type);
+  return types;
+}
+
 }  // namespace
 
-Result<StorageLayer::ParallelScanPlan> StorageLayer::BuildParallelScan(
+Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
     const TableInfo& table, const optimizer::AccessPath& access) {
-  ParallelScanPlan plan;
+  ScanPlan plan;
   switch (access.kind) {
     case optimizer::AccessPathKind::kSeqScan:
       switch (table.structure) {
-        case StorageStructure::kHeap: {
-          plan.kind = ParallelScanPlan::Kind::kHeapPages;
+        case StorageStructure::kHeap:
+          plan.kind = ScanPlan::Kind::kHeapPages;
           plan.structure = "heap";
-          IMON_ASSIGN_OR_RETURN(plan.units, HeapPageChain(table));
+          IMON_RETURN_IF_ERROR(HeapFor(table)->PageChain(&plan.units));
           break;
-        }
-        case StorageStructure::kHash: {
-          plan.kind = ParallelScanPlan::Kind::kHashBuckets;
+        case StorageStructure::kHash:
+          plan.kind = ScanPlan::Kind::kHashBuckets;
           plan.structure = "hash";
           plan.units.resize(HashFor(table)->buckets());
           std::iota(plan.units.begin(), plan.units.end(), 0u);
           break;
-        }
         case StorageStructure::kIsam:
-          plan.kind = ParallelScanPlan::Kind::kIsamChains;
+          plan.kind = ScanPlan::Kind::kIsamChains;
           plan.structure = "isam";
           IMON_RETURN_IF_ERROR(IsamFor(table)->RoutedChainHeads(
               std::string(), std::string(), &plan.units));
           break;
         case StorageStructure::kBtree:
-          plan.kind = ParallelScanPlan::Kind::kBtreeLeaves;
+          plan.kind = ScanPlan::Kind::kBtreeLeaves;
           plan.structure = "btree";
+          plan.tree = BtreeFor(table.file_id);
           // Default (all-pass) range; every leaf stays in the chain.
-          IMON_RETURN_IF_ERROR(BtreeFor(table.file_id)
-                                   ->LeafChain(std::string(),
-                                               [](std::string_view) {
-                                                 return true;
-                                               },
-                                               &plan.units));
+          IMON_RETURN_IF_ERROR(plan.tree->LeafChain(
+              std::string(), [](std::string_view) { return true; },
+              &plan.units));
           break;
       }
       break;
@@ -673,25 +508,40 @@ Result<StorageLayer::ParallelScanPlan> StorageLayer::BuildParallelScan(
       if (table.structure != StorageStructure::kBtree) {
         return Status::Internal("primary range scan on non-BTREE table");
       }
-      plan.kind = ParallelScanPlan::Kind::kBtreeLeaves;
+      plan.kind = ScanPlan::Kind::kBtreeLeaves;
       plan.structure = "btree";
-      std::vector<int> key_cols = BtreeKeyColumns(table);
-      std::vector<TypeId> types;
-      for (int ord : key_cols) types.push_back(table.columns[ord].type);
+      plan.tree = BtreeFor(table.file_id);
       IMON_ASSIGN_OR_RETURN(plan.range,
-                            EncodeRange(types, access.eq_values, access.lower,
+                            EncodeRange(PrimaryKeyTypes(table),
+                                        access.eq_values, access.lower,
                                         access.upper));
-      IMON_RETURN_IF_ERROR(BtreeFor(table.file_id)
-                               ->LeafChain(plan.range.lower,
-                                           KeepGoing(plan.range),
-                                           &plan.units));
+      IMON_RETURN_IF_ERROR(plan.tree->LeafChain(
+          plan.range.lower, KeepGoing(plan.range), &plan.units));
+      break;
+    }
+    case optimizer::AccessPathKind::kPrimaryHash: {
+      if (table.structure != StorageStructure::kHash) {
+        return Status::Internal("hash lookup on non-HASH table");
+      }
+      // Collisions share the bucket; callers re-apply the equality
+      // filters.
+      std::vector<TypeId> types = PrimaryKeyTypes(table);
+      if (access.eq_values.size() != types.size()) {
+        return Status::Internal("hash lookup requires the full key");
+      }
+      plan.kind = ScanPlan::Kind::kHashBuckets;
+      plan.structure = "hash";
+      IMON_ASSIGN_OR_RETURN(EncodedRange key,
+                            EncodeRange(types, access.eq_values, std::nullopt,
+                                        std::nullopt));
+      plan.units.push_back(HashFor(table)->BucketOf(key.eq_prefix));
       break;
     }
     case optimizer::AccessPathKind::kPrimaryIsam: {
       if (table.structure != StorageStructure::kIsam) {
         return Status::Internal("ISAM range scan on non-ISAM table");
       }
-      plan.kind = ParallelScanPlan::Kind::kIsamChains;
+      plan.kind = ScanPlan::Kind::kIsamChains;
       plan.structure = "isam";
       std::string low, high;
       IMON_RETURN_IF_ERROR(EncodeIsamBounds(table, access.eq_values,
@@ -703,102 +553,88 @@ Result<StorageLayer::ParallelScanPlan> StorageLayer::BuildParallelScan(
     }
     case optimizer::AccessPathKind::kSecondaryIndex: {
       if (access.index.is_virtual) {
-        return Status::Internal(
-            "virtual index has no parallel decomposition");
+        return Status::Internal("virtual index has no storage to scan");
       }
-      plan.kind = ParallelScanPlan::Kind::kIndexLeaves;
+      plan.kind = ScanPlan::Kind::kIndexLeaves;
       plan.structure = "index";
-      plan.index = access.index;
-      std::vector<TypeId> types;
-      for (int ord : access.index.key_columns) {
-        types.push_back(table.columns[ord].type);
-      }
-      IMON_ASSIGN_OR_RETURN(plan.range,
-                            EncodeRange(types, access.eq_values, access.lower,
-                                        access.upper));
-      IMON_RETURN_IF_ERROR(BtreeFor(access.index.file_id)
-                               ->LeafChain(plan.range.lower,
-                                           KeepGoing(plan.range),
-                                           &plan.units));
+      plan.tree = BtreeFor(access.index.file_id);
+      IMON_ASSIGN_OR_RETURN(
+          plan.range, EncodeRange(KeyTypes(table, access.index.key_columns),
+                                  access.eq_values, access.lower,
+                                  access.upper));
+      IMON_RETURN_IF_ERROR(plan.tree->LeafChain(
+          plan.range.lower, KeepGoing(plan.range), &plan.units));
       break;
     }
-    case optimizer::AccessPathKind::kPrimaryHash:
-      return Status::Internal(
-          "hash point probe has no parallel decomposition");
   }
   return plan;
 }
 
 Status StorageLayer::ScanUnits(
-    const TableInfo& table, const ParallelScanPlan& plan, size_t begin,
-    size_t end, const std::function<bool(const Locator&, Row&)>& fn) {
+    const TableInfo& table, const ScanPlan& plan, size_t begin, size_t end,
+    const std::function<bool(const Locator&, Row&)>& fn) {
   end = std::min(end, plan.units.size());
   if (begin >= end) return Status::OK();
+  auto by_rid = [&](Rid rid, Row& row) { return fn(PackRid(rid), row); };
   switch (plan.kind) {
-    case ParallelScanPlan::Kind::kHeapPages:
-      return ScanHeapPages(table, plan.units, begin, end, fn);
-    case ParallelScanPlan::Kind::kHashBuckets:
+    case ScanPlan::Kind::kHeapPages:
+      return HeapFor(table)->ScanPages(plan.units.data() + begin,
+                                       end - begin, by_rid);
+    case ScanPlan::Kind::kHashBuckets:
       // Bucket units are a contiguous ascending range by construction.
-      return HashFor(table)->ScanBuckets(
-          plan.units[begin], plan.units[end - 1] + 1,
-          [&](Rid rid, Row& row) { return fn(PackRid(rid), row); });
-    case ParallelScanPlan::Kind::kIsamChains:
-      return IsamFor(table)->ScanChainPages(
-          plan.units, begin, end,
-          [&](Rid rid, Row& row) { return fn(PackRid(rid), row); });
-    case ParallelScanPlan::Kind::kBtreeLeaves: {
+      return HashFor(table)->ScanBuckets(plan.units[begin],
+                                         plan.units[end - 1] + 1, by_rid);
+    case ScanPlan::Kind::kIsamChains:
+      return IsamFor(table)->ScanChainPages(plan.units, begin, end, by_rid);
+    case ScanPlan::Kind::kBtreeLeaves:
+    case ScanPlan::Kind::kIndexLeaves: {
+      const bool index = plan.kind == ScanPlan::Kind::kIndexLeaves;
       Status inner = Status::OK();
       Row row;
       Locator loc;
-      IMON_RETURN_IF_ERROR(BtreeFor(table.file_id)
-              ->ScanLeafPages(
-                  plan.units, begin, end,
-                  [&](std::string_view key, std::string_view payload) {
-                    switch (CheckRange(plan.range, key)) {
-                      case RangeCheck::kSkip:
-                        return true;
-                      case RangeCheck::kStop:
-                        return false;
-                      case RangeCheck::kYield:
-                        break;
-                    }
-                    Status st = DeserializeRowInto(payload, &row);
-                    if (!st.ok()) {
-                      inner = st;
-                      return false;
-                    }
-                    loc.assign(key.data(), key.size());
-                    return fn(loc, row);
-                  }));
-      return inner;
-    }
-    case ParallelScanPlan::Kind::kIndexLeaves: {
-      Status inner = Status::OK();
-      Locator loc;
-      IMON_RETURN_IF_ERROR(BtreeFor(plan.index.file_id)
-              ->ScanLeafPages(
-                  plan.units, begin, end,
-                  [&](std::string_view key, std::string_view payload) {
-                    switch (CheckRange(plan.range, key)) {
-                      case RangeCheck::kSkip:
-                        return true;
-                      case RangeCheck::kStop:
-                        return false;
-                      case RangeCheck::kYield:
-                        break;
-                    }
-                    loc.assign(payload.data(), payload.size());
-                    auto row = Fetch(table, loc);
-                    if (!row.ok()) {
-                      inner = row.status();
-                      return false;
-                    }
-                    return fn(loc, *row);
-                  }));
+      // Only the chain's first leaf holds entries below the range: enter
+      // it at the lower bound, as a B-Tree seek would.
+      const std::string no_seek;
+      IMON_RETURN_IF_ERROR(plan.tree->ScanLeafPages(
+          plan.units, begin, end, begin == 0 ? plan.range.lower : no_seek,
+          [&](std::string_view key, std::string_view payload) {
+            switch (CheckRange(plan.range, key)) {
+              case RangeCheck::kSkip:
+                return true;
+              case RangeCheck::kStop:
+                return false;
+              case RangeCheck::kYield:
+                break;
+            }
+            if (index) {
+              loc.assign(payload.data(), payload.size());
+              auto fetched = Fetch(table, loc);
+              if (!fetched.ok()) {
+                inner = fetched.status();
+                return false;
+              }
+              row = std::move(*fetched);
+            } else {
+              Status st = DeserializeRowInto(payload, &row);
+              if (!st.ok()) {
+                inner = st;
+                return false;
+              }
+              loc.assign(key.data(), key.size());
+            }
+            return fn(loc, row);
+          }));
       return inner;
     }
   }
-  return Status::Internal("unknown parallel scan kind");
+  return Status::Internal("unknown scan kind");
+}
+
+Status StorageLayer::ScanPath(
+    const TableInfo& table, const optimizer::AccessPath& access,
+    const std::function<bool(const Locator&, Row&)>& fn) {
+  IMON_ASSIGN_OR_RETURN(ScanPlan plan, BuildScan(table, access));
+  return ScanUnits(table, plan, 0, plan.units.size(), fn);
 }
 
 Status StorageLayer::ModifyStructure(TableInfo* info,
@@ -806,10 +642,11 @@ Status StorageLayer::ModifyStructure(TableInfo* info,
                                      StorageStructure target) {
   // Materialize all rows.
   std::vector<Row> rows;
-  IMON_RETURN_IF_ERROR(Scan(*info, [&](const Locator&, const Row& row) {
-    rows.push_back(row);
-    return true;
-  }));
+  IMON_RETURN_IF_ERROR(ScanPath(*info, optimizer::AccessPath{},
+                                [&](const Locator&, const Row& row) {
+                                  rows.push_back(row);
+                                  return true;
+                                }));
 
   // Tear down old storage (base + indexes).
   IMON_RETURN_IF_ERROR(DropTableStorage(*info));

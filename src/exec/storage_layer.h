@@ -1,5 +1,12 @@
-// Row-level storage operations across both Ingres storage structures,
-// with secondary-index maintenance and structure conversion (MODIFY).
+// Row-level storage operations across the four Ingres storage
+// structures (HEAP, BTREE, HASH, ISAM), with secondary-index maintenance
+// and structure conversion (MODIFY).
+//
+// Reads have one API: every access path — full sweep, primary range,
+// hash probe, ISAM range, secondary-index range — becomes a unit list
+// (BuildScan) that ScanUnits reads a slice of, and ScanPath reads whole.
+// The executor splits unit lists into morsels; a one-lane pool, or none,
+// runs those morsels inline.
 //
 // Locators abstract over structures: a packed RID string for heap tables,
 // the encoded primary key for BTREE tables. Secondary index payloads
@@ -70,55 +77,6 @@ class StorageLayer {
   // -- reads ------------------------------------------------------------------
   Result<Row> Fetch(const catalog::TableInfo& table, const Locator& loc);
 
-  /// Full scan in storage order; callback returns false to stop. Rows
-  /// are decoded into buffers reused across calls: callbacks may move
-  /// from the row (the batch gather path does), but must not hold a
-  /// reference past their return.
-  Status Scan(const catalog::TableInfo& table,
-              const std::function<bool(const Locator&, Row&)>& fn);
-
-  /// Page numbers of a HEAP table's chain in scan order; the unit list
-  /// morsel-parallel scans partition. Error for non-heap structures.
-  Result<std::vector<uint32_t>> HeapPageChain(const catalog::TableInfo& table);
-
-  /// Scan rows of heap pages `pages[begin..end)` in order, with the same
-  /// callback contract as Scan. Safe to call concurrently over a frozen
-  /// chain (each call owns its decode buffer); not safe against
-  /// concurrent writers.
-  Status ScanHeapPages(const catalog::TableInfo& table,
-                       const std::vector<uint32_t>& pages, size_t begin,
-                       size_t end,
-                       const std::function<bool(const Locator&, Row&)>& fn);
-
-  /// Range scan on an ISAM table's primary structure (routing only —
-  /// chains are unordered; callers re-apply their filters).
-  Status ScanIsamRange(const catalog::TableInfo& table,
-                       const std::vector<Value>& eq_prefix,
-                       const std::optional<optimizer::KeyBound>& lower,
-                       const std::optional<optimizer::KeyBound>& upper,
-                       const std::function<bool(const Locator&, Row&)>& fn);
-
-  /// Equality lookup on a HASH table's primary structure (full key).
-  /// Collisions are possible; callers re-apply the equality filters.
-  Status HashLookup(const catalog::TableInfo& table,
-                    const std::vector<Value>& key_values,
-                    const std::function<bool(const Locator&, Row&)>& fn);
-
-  /// Range scan on a BTREE table's primary structure.
-  Status ScanPrimaryRange(const catalog::TableInfo& table,
-                          const std::vector<Value>& eq_prefix,
-                          const std::optional<optimizer::KeyBound>& lower,
-                          const std::optional<optimizer::KeyBound>& upper,
-                          const std::function<bool(const Locator&, Row&)>& fn);
-
-  /// Range scan on a secondary index, yielding base-row locators.
-  Status IndexScan(const catalog::IndexInfo& idx,
-                   const catalog::TableInfo& table,
-                   const std::vector<Value>& eq_prefix,
-                   const std::optional<optimizer::KeyBound>& lower,
-                   const std::optional<optimizer::KeyBound>& upper,
-                   const std::function<bool(const Locator&)>& fn);
-
   // -- statistics -------------------------------------------------------------
   /// Recompute row/page counts into *info (and index pages into catalog
   /// objects passed by the caller later).
@@ -141,46 +99,56 @@ class StorageLayer {
     std::string lower_exclusive_prefix;
   };
 
-  // -- morsel-parallel scans --------------------------------------------------
-  /// Structure-specific unit list for a morsel-parallel scan. Units are
-  /// pages (heap chain, B-Tree leaves, index leaves), routed chain-head
-  /// pages (ISAM) or bucket numbers (HASH). The list and its order are a
-  /// pure function of the structure and the access path — never of the
-  /// worker count — and visiting every unit in order reproduces the
-  /// serial scan exactly (same rows, same order, same early-stop set).
-  struct ParallelScanPlan {
+  // -- scans ----------------------------------------------------------------
+  /// Structure-specific unit list for one access path: the only way to
+  /// read a real table. Units are pages (heap chain, B-Tree leaves, index
+  /// leaves), routed chain-head pages (ISAM) or bucket numbers (HASH; a
+  /// full-key probe is the one bucket the key hashes to). The list and
+  /// its order are a pure function of the structure and the access path
+  /// — never of the worker count — so any split of it into morsels,
+  /// visited in order, yields the same rows in the same order with the
+  /// same early-stop set as one pass over every unit.
+  struct ScanPlan {
     enum class Kind {
       kHeapPages,    ///< units: heap chain pages
       kBtreeLeaves,  ///< units: primary B-Tree leaf pages
-      kHashBuckets,  ///< units: bucket numbers
+      kHashBuckets,  ///< units: ascending contiguous bucket numbers
       kIsamChains,   ///< units: routed chain-head pages
       kIndexLeaves,  ///< units: secondary-index leaf pages
     };
     Kind kind = Kind::kHeapPages;
     std::vector<uint32_t> units;
-    /// Per-entry range predicate for kBtreeLeaves / kIndexLeaves: each
-    /// unit re-applies it, replacing the serial scan's seek + early stop.
+    /// Per-entry range predicate for kBtreeLeaves / kIndexLeaves; the
+    /// chain's first leaf is entered at `range.lower`.
     EncodedRange range;
-    /// kIndexLeaves: the probed secondary index.
-    catalog::IndexInfo index;
+    /// kBtreeLeaves / kIndexLeaves: the tree the leaf units belong to.
+    storage::BTree* tree = nullptr;
     /// Metrics label: "heap", "btree", "hash", "isam" or "index".
     const char* structure = "heap";
   };
 
-  /// Build the unit list for `access` over `table`. Callers must not ask
-  /// for access paths without a parallel decomposition (kPrimaryHash
-  /// point probes, virtual tables or indexes).
-  Result<ParallelScanPlan> BuildParallelScan(
-      const catalog::TableInfo& table, const optimizer::AccessPath& access);
+  /// Build the unit list for `access` over `table`. Virtual indexes have
+  /// no storage and are rejected.
+  Result<ScanPlan> BuildScan(const catalog::TableInfo& table,
+                             const optimizer::AccessPath& access);
 
-  /// Scan rows of units `plan.units[begin..end)` in unit order, with the
-  /// same callback contract as Scan; for kIndexLeaves the callback
-  /// receives fetched base rows keyed by their locator. Safe to call
-  /// concurrently over a frozen structure with disjoint or overlapping
-  /// unit ranges; not safe against concurrent writers.
-  Status ScanUnits(const catalog::TableInfo& table,
-                   const ParallelScanPlan& plan, size_t begin, size_t end,
+  /// Scan rows of units `plan.units[begin..end)` in unit order; callback
+  /// returns false to stop. Rows are decoded into buffers reused across
+  /// calls: callbacks may move from the row (the batch gather path does),
+  /// but must not hold a reference past their return. For kIndexLeaves
+  /// the callback receives fetched base rows keyed by their locator. Safe
+  /// to call concurrently over a frozen structure with disjoint or
+  /// overlapping unit ranges; not safe against concurrent writers.
+  Status ScanUnits(const catalog::TableInfo& table, const ScanPlan& plan,
+                   size_t begin, size_t end,
                    const std::function<bool(const Locator&, Row&)>& fn);
+
+  /// BuildScan + ScanUnits over every unit in order, for callers that
+  /// read a whole path on one thread (DML targets, index-NL probes,
+  /// ANALYZE, index backfill, MODIFY).
+  Status ScanPath(const catalog::TableInfo& table,
+                  const optimizer::AccessPath& access,
+                  const std::function<bool(const Locator&, Row&)>& fn);
 
   storage::BufferPool* pool() const { return pool_; }
   storage::DiskManager* disk() const { return disk_; }
@@ -200,8 +168,7 @@ class StorageLayer {
       const std::optional<optimizer::KeyBound>& upper);
 
   /// Encoded [low, high] routing bounds for an ISAM eq-prefix + range
-  /// probe; shared by ScanIsamRange and BuildParallelScan so serial and
-  /// parallel scans route through identical directory slots.
+  /// probe.
   Status EncodeIsamBounds(const catalog::TableInfo& table,
                           const std::vector<Value>& eq_prefix,
                           const std::optional<optimizer::KeyBound>& lower,

@@ -337,7 +337,7 @@ std::unique_ptr<PlanNode> Planner::BestScan(
       double buckets = std::max<double>(1.0, bt.info.main_page_target);
       double chain_pages = std::max(1.0, pages / buckets);
       double io = chain_pages * cm.random_page_cost;
-      // One bucket chain: no parallel decomposition.
+      // One bucket unit: a single morsel, so one lane.
       double cpu = matching * cm.cpu_tuple_cost +
                    matching * num_filters * cm.cpu_operator_cost;
       if (io + cpu < best_cost) {

@@ -117,12 +117,17 @@ uint16_t BTree::LowerBound(const PageView& view, std::string_view key,
 }
 
 Result<uint32_t> BTree::FindLeaf(const std::string& full_key) const {
+  IMON_ASSIGN_OR_RETURN(PageGuard leaf, DescendToLeaf(full_key));
+  return leaf.page_id().page_no;
+}
+
+Result<PageGuard> BTree::DescendToLeaf(const std::string& full_key) const {
   IMON_ASSIGN_OR_RETURN(Meta meta, ReadMeta());
   uint32_t page_no = meta.root;
   while (true) {
     IMON_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(PageId{file_, page_no}));
     PageView view = guard.Read();
-    if (view.type() == PageType::kBTreeLeaf) return page_no;
+    if (view.type() == PageType::kBTreeLeaf) return guard;
     if (view.type() != PageType::kBTreeInternal)
       return Status::Corruption("btree: unexpected page type in descent");
     uint16_t pos = LowerBound(view, full_key, true);
@@ -382,38 +387,45 @@ Status BTree::ScanFrom(
 
 Status BTree::LeafChain(
     const std::string& start_user_key,
-    const std::function<bool(std::string_view first_user_key)>& keep_going,
+    const std::function<bool(std::string_view user_key)>& keep_going,
     std::vector<uint32_t>* out) const {
   out->clear();
-  IMON_ASSIGN_OR_RETURN(uint32_t page_no, FindLeaf(start_user_key));
+  // The descent's pin on the start leaf serves its first visit.
+  IMON_ASSIGN_OR_RETURN(PageGuard guard, DescendToLeaf(start_user_key));
   bool first = true;
-  while (page_no != kInvalidPageNo) {
-    IMON_ASSIGN_OR_RETURN(PageGuard guard, pool_->Fetch(PageId{file_, page_no}));
+  while (true) {
     PageView view = guard.Read();
     if (view.type() != PageType::kBTreeLeaf)
       return Status::Corruption("btree: non-leaf page in leaf chain");
-    if (!first) {
-      // The first live entry is the leaf's minimum; if it is already out
-      // of range, so is every entry in this and all later leaves. The
-      // start leaf is always kept (its low slots sit below the range).
-      for (uint16_t slot = 0; slot < view.slot_count(); ++slot) {
-        std::string_view record = view.Get(slot);
+    // keep_going on the leaf's first or last live entry; true if none.
+    auto keeps = [&](bool last) {
+      const uint16_t n = view.slot_count();
+      for (uint16_t i = 0; i < n; ++i) {
+        std::string_view record = view.Get(static_cast<uint16_t>(last ? n - 1 - i : i));
         if (record.empty()) continue;
         std::string_view full = EntryKey(record);
-        if (!keep_going(full.substr(0, full.size() - kUniquifierBytes)))
-          return Status::OK();
-        break;
+        return keep_going(full.substr(0, full.size() - kUniquifierBytes));
       }
-    }
+      return true;
+    };
+    // The first live entry is the leaf's minimum; if it is already out
+    // of range, so is every entry in this and all later leaves. The
+    // start leaf is always kept (its low slots sit below the range).
+    if (!first && !keeps(false)) return Status::OK();
     first = false;
-    out->push_back(page_no);
-    page_no = view.next_page();
+    out->push_back(guard.page_id().page_no);
+    // Likewise the last live entry is its maximum.
+    if (!keeps(true)) return Status::OK();
+    uint32_t next = view.next_page();
+    if (next == kInvalidPageNo) return Status::OK();
+    guard.Release();  // one pin at a time, as in every other walk
+    IMON_ASSIGN_OR_RETURN(guard, pool_->Fetch(PageId{file_, next}));
   }
-  return Status::OK();
 }
 
 Status BTree::ScanLeafPages(
     const std::vector<uint32_t>& pages, size_t begin, size_t end,
+    const std::string& seek_user_key,
     const std::function<bool(std::string_view user_key,
                              std::string_view payload)>& fn) const {
   for (size_t i = begin; i < end && i < pages.size(); ++i) {
@@ -422,7 +434,11 @@ Status BTree::ScanLeafPages(
     PageView view = guard.Read();
     if (view.type() != PageType::kBTreeLeaf)
       return Status::Corruption("btree: non-leaf page in leaf-page scan");
-    for (uint16_t slot = 0; slot < view.slot_count(); ++slot) {
+    uint16_t slot = 0;
+    if (i == begin && !seek_user_key.empty()) {
+      slot = LowerBound(view, seek_user_key, false);
+    }
+    for (; slot < view.slot_count(); ++slot) {
       std::string_view record = view.Get(slot);
       if (record.empty()) continue;
       std::string_view full = EntryKey(record);

@@ -93,22 +93,26 @@ class BTree {
   /// Leaf pages in chain order starting at the leaf that may contain
   /// `start_user_key` (empty = leftmost leaf) — the unit list
   /// morsel-parallel scans partition. After the first leaf,
-  /// `keep_going(first_user_key)` is consulted on each leaf's first live
-  /// entry (uniquifier stripped); returning false stops the walk, which
-  /// is sound for range scans because keys ascend across the chain.
-  /// Leaves with no live entries are included and never consulted.
+  /// `keep_going(user_key)` is consulted on each leaf's first live entry
+  /// (uniquifier stripped); returning false stops the walk, which is
+  /// sound for range scans because keys ascend across the chain. A leaf
+  /// whose last live entry already fails `keep_going` ends the walk
+  /// without pinning its successor, which could only fail too. Leaves
+  /// with no live entries are included and never consulted.
   Status LeafChain(
       const std::string& start_user_key,
-      const std::function<bool(std::string_view first_user_key)>& keep_going,
+      const std::function<bool(std::string_view user_key)>& keep_going,
       std::vector<uint32_t>* out) const;
 
   /// Scan entries of the leaf pages `pages[begin..end)` in slot order,
-  /// with the same callback contract as ScanFrom (no seek: every live
-  /// entry of the pages is yielded; callers apply their own range
-  /// predicate per entry). Safe to call concurrently over a frozen tree
-  /// — each call pins one leaf at a time; not safe against writers.
+  /// with the same callback contract as ScanFrom. A non-empty
+  /// `seek_user_key` starts the first page at its first entry with user
+  /// key >= it, as ScanFrom's seek does; every other live entry is
+  /// yielded, and callers apply their own range predicate per entry.
+  /// Safe to call concurrently over a frozen tree — each call pins one
+  /// leaf at a time; not safe against writers.
   Status ScanLeafPages(const std::vector<uint32_t>& pages, size_t begin,
-                       size_t end,
+                       size_t end, const std::string& seek_user_key,
                        const std::function<bool(std::string_view user_key,
                                                 std::string_view payload)>& fn)
       const;
@@ -138,6 +142,8 @@ class BTree {
 
   /// Leaf page number that may contain `full_key` (descend lower-bound).
   Result<uint32_t> FindLeaf(const std::string& full_key) const;
+  /// FindLeaf, returning the leaf still pinned.
+  Result<PageGuard> DescendToLeaf(const std::string& full_key) const;
 
   /// In a leaf/internal node, index of the first slot whose key >= key.
   static uint16_t LowerBound(const PageView& view, std::string_view key,

@@ -61,11 +61,13 @@ class HashFile {
 
   Result<HeapFileStats> ComputeStats() const;
 
+  /// Bucket a row with encoded key `key` lives in.
+  uint32_t BucketOf(const std::string& key) const;
+
   uint32_t buckets() const { return buckets_; }
   FileId file_id() const { return file_; }
 
  private:
-  uint32_t BucketOf(const std::string& key) const;
   /// Page in `bucket`'s chain with room for `record_size` (grows the
   /// chain with an overflow page when needed).
   Result<uint32_t> PageForInsert(uint32_t bucket, size_t record_size);

@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "exec/worker_pool.h"
+
 namespace imon::engine {
 namespace {
 
@@ -328,6 +330,77 @@ TEST_F(DatabaseTest, WhatIfVirtualIndexLowersCost) {
   EXPECT_FALSE(db_.catalog()->GetIndex("virt_t_b").ok());
 }
 
+// A plan built with a virtual index can only be explained, never run:
+// executing one fails with an Internal error naming the index, whether
+// the index drives a root scan (plain or aggregating) or the probes of
+// an index-NL join, and with or without a worker pool.
+TEST_F(DatabaseTest, VirtualIndexPlansFailToExecute) {
+  MustExec("CREATE TABLE t (a INT, b INT)");
+  for (int begin = 0; begin < 3000; begin += 500) {
+    std::string sql = "INSERT INTO t VALUES ";
+    for (int i = begin; i < begin + 500; ++i) {
+      if (i > begin) sql += ", ";
+      sql += "(" + std::to_string(i) + ", " + std::to_string(i / 2) + ")";
+    }
+    MustExec(sql);
+  }
+  MustExec("CREATE TABLE p (k INT)");
+  MustExec("INSERT INTO p VALUES (3), (50), (120)");
+  MustExec("ANALYZE t");
+  MustExec("ANALYZE p");
+  auto table = db_.catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  catalog::IndexInfo virt;
+  virt.id = -1;
+  virt.name = "virt_t_b";
+  virt.table_id = table->id;
+  virt.key_columns = {1};
+  virt.is_virtual = true;
+
+  struct Case {
+    const char* sql;
+    const char* plan;
+    const char* error;
+  };
+  const Case cases[] = {
+      {"SELECT a FROM t WHERE b = 7", "IndexScan(t0 via virt_t_b [virtual])",
+       "attempted to execute a plan using virtual index 'virt_t_b'"},
+      {"SELECT count(*) FROM t WHERE b = 7",
+       "IndexScan(t0 via virt_t_b [virtual])",
+       "attempted to execute a plan using virtual index 'virt_t_b'"},
+      {"SELECT p.k, t.a FROM p JOIN t ON p.k = t.b",
+       "IndexNLJoin(inner IndexScan via virt_t_b [virtual])",
+       "attempted to probe virtual index 'virt_t_b'"},
+  };
+  exec::WorkerPool pool(2);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    auto parsed = sql::Parse(c.sql);
+    ASSERT_TRUE(parsed.ok());
+    optimizer::Binder binder(db_.catalog());
+    auto bound =
+        binder.BindSelect(static_cast<sql::SelectStmt*>(parsed->get()));
+    ASSERT_TRUE(bound.ok()) << bound.status();
+    optimizer::Planner planner(
+        db_.catalog(), optimizer::PlannerOptions{db_.cost_model(), {virt}});
+    auto plan = planner.PlanJoinTree(*bound);
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    std::string text = planner.Summarize(**plan, *bound).plan_text;
+    EXPECT_NE(text.find(c.plan), std::string::npos) << text;
+    for (exec::WorkerPool* workers : {static_cast<exec::WorkerPool*>(nullptr),
+                                      &pool}) {
+      exec::ExecContext ctx;
+      ctx.storage = db_.storage_layer();
+      ctx.tables = &bound->tables;
+      ctx.workers = workers;
+      auto rs = exec::ExecuteSelect(*bound, **plan, &ctx);
+      ASSERT_FALSE(rs.ok());
+      EXPECT_EQ(rs.status().code(), StatusCode::kInternal);
+      EXPECT_EQ(std::string(rs.status().message()), c.error);
+    }
+  }
+}
+
 TEST_F(DatabaseTest, TransactionsCommitAndRollback) {
   MakeProtein();
   auto session = db_.CreateSession();
@@ -395,6 +468,101 @@ TEST_F(DatabaseTest, TriggersRaiseAlerts) {
   EXPECT_EQ(alerts[0].trigger_name, "too_many");
   EXPECT_EQ(alerts[0].message, "session limit reached");
   EXPECT_EQ(alerts[0].row[0].AsInt(), 120);
+}
+
+/// Runs the statements RowsExaminedTest pins against `db`.
+void ExpectPinnedRowsExamined(Database* db) {
+  auto exec = [&](const std::string& sql) {
+    auto r = db->Execute(sql);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status();
+    return r.ok() ? r.TakeValue() : QueryResult{};
+  };
+  auto fill = [&](const std::string& table, int64_t rows, int64_t stride) {
+    for (int64_t begin = 0; begin < rows; begin += 500) {
+      std::string sql = "INSERT INTO " + table + " VALUES ";
+      for (int64_t i = begin; i < std::min(rows, begin + 500); ++i) {
+        int64_t id = (i * stride) % rows;
+        if (i > begin) sql += ", ";
+        sql += "(" + std::to_string(id) + ", " + std::to_string(id / 2) +
+               ", 'v" + std::to_string(id) + "')";
+      }
+      exec(sql);
+    }
+  };
+  for (const char* structure : {"HEAP", "BTREE", "HASH", "ISAM"}) {
+    std::string name = "re_" + std::string(structure);
+    exec("CREATE TABLE " + name +
+         " (id INT PRIMARY KEY, grp INT, v TEXT) WITH MAIN_PAGES = 4");
+    fill(name, 400, 37);
+    if (std::string(structure) != "HEAP") {
+      exec("MODIFY " + name + " TO " + structure);
+    }
+    exec("ANALYZE " + name);
+  }
+  exec("CREATE TABLE re_big (id INT PRIMARY KEY, grp INT, v TEXT)");
+  fill("re_big", 4000, 1);
+  exec("CREATE INDEX re_big_grp ON re_big (grp)");
+  exec("ANALYZE re_big");
+  exec("CREATE TABLE re_probe (k INT)");
+  exec("INSERT INTO re_probe VALUES (3), (50), (120), (300), (NULL)");
+  exec("ANALYZE re_probe");
+
+  struct Case {
+    std::string sql;
+    std::string plan;         ///< expected EXPLAIN fragment, or empty
+    int64_t examined;         ///< QueryResult.stats.rows_examined
+    int64_t monitored;        ///< rows_examined the monitor recorded
+    int64_t rows_or_affected;
+  };
+  std::vector<Case> cases = {
+      {"SELECT p.k, b.v FROM re_probe p JOIN re_BTREE b ON p.k = b.id",
+       "IndexNLJoin(inner BtreeScan)", 13, 13, 4},
+      {"SELECT p.k, h.v FROM re_probe p JOIN re_big h ON p.k = h.grp",
+       "IndexNLJoin(inner IndexScan via re_big_grp)", 21, 21, 8},
+      // The whole bucket chain is examined, LIMIT or not.
+      {"SELECT v FROM re_HASH WHERE id = 77", "HashLookup", 100, 100, 1},
+      {"SELECT v FROM re_HASH WHERE id = 77 LIMIT 1", "HashLookup", 100, 100,
+       1},
+  };
+  // DML reports no rows_examined in its QueryResult; the monitor records
+  // the matched targets.
+  for (const char* structure : {"HEAP", "BTREE", "HASH", "ISAM"}) {
+    std::string name = "re_" + std::string(structure);
+    cases.push_back({"UPDATE " + name + " SET v = 'u' WHERE id = 17", "", 0,
+                     1, 1});
+    cases.push_back({"DELETE FROM " + name + " WHERE id = 18", "", 0, 1, 1});
+  }
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.sql);
+    if (!c.plan.empty()) {
+      QueryResult plan = exec("EXPLAIN " + c.sql);
+      EXPECT_NE(plan.stats.plan_text.find(c.plan), std::string::npos)
+          << plan.stats.plan_text;
+    }
+    QueryResult r = exec(c.sql);
+    int64_t monitored = db->monitor()->SnapshotWorkload().back().rows_examined;
+    int64_t rows_or_affected = c.sql.rfind("SELECT", 0) == 0
+                                   ? static_cast<int64_t>(r.rows.size())
+                                   : r.affected_rows;
+    EXPECT_EQ(r.stats.rows_examined, c.examined);
+    EXPECT_EQ(monitored, c.monitored);
+    EXPECT_EQ(rows_or_affected, c.rows_or_affected);
+  }
+}
+
+// rows_examined feeds the monitor's actual-cost sensor. These statements
+// read through index-NL probes, a one-bucket hash unit list and DML
+// target collection on every structure; their counts are pinned, on both
+// expression paths, so a change of read path cannot move the sensor's
+// input unnoticed.
+TEST(RowsExaminedTest, PinnedOnProbeAndDmlPaths) {
+  for (bool compiled : {true, false}) {
+    SCOPED_TRACE(compiled ? "compiled" : "scalar");
+    DatabaseOptions options;
+    options.use_compiled_exprs = compiled;
+    Database db(options);
+    ExpectPinnedRowsExamined(&db);
+  }
 }
 
 TEST_F(DatabaseTest, MonitorRecordsStatementPath) {

@@ -1,11 +1,13 @@
-// Morsel-driven parallel scans: the differential invariant is that the
-// worker count and the morsel size may change *cost*, never *results*.
-// Every query must produce byte-identical output across worker counts
-// {1, 2, 4, 8} x both expression paths (compiled / scalar) x every
-// storage structure (HEAP, BTREE, HASH, ISAM — full sweeps, range
-// scans, secondary-index scans and hash joins all have morsel sources
-// now), morsel boundaries must not leak into results, and errors
-// raised mid-scan must be deterministic regardless of scheduling.
+// Morsel-driven scans: the differential invariant is that the worker
+// count and the morsel size may change *cost*, never *results*. Every
+// real-table read is a unit list split into morsels — full sweeps, range
+// scans, hash point probes (one bucket unit) and secondary-index scans
+// alike — and a 1-lane pool runs the same morsels inline, so there is no
+// separate serial path to compare against. Every query must produce
+// byte-identical output across worker counts {1, 2, 4, 8} x both
+// expression paths (compiled / scalar) x every storage structure (HEAP,
+// BTREE, HASH, ISAM), morsel boundaries must not leak into results, and
+// errors raised mid-scan must be deterministic regardless of scheduling.
 
 #include <gtest/gtest.h>
 
@@ -100,7 +102,7 @@ TEST_F(ParallelScanTest, WorkerCountsAndExprPathsAgree) {
 
 // The structure matrix drives every per-structure morsel source:
 // B-Tree full sweeps and leaf ranges, ISAM directory-routed ranges,
-// HASH bucket sweeps (plus the serial hash point probe), a
+// HASH bucket sweeps and the one-bucket hash point probe, a
 // secondary-index scan, and a hash join whose build side is
 // partitioned across the pool. morsel_pages=1 on the small dataset
 // forces real multi-morsel decompositions for each of them.
@@ -261,6 +263,33 @@ TEST_F(ParallelScanTest, RowsExaminedParityOnFullScans) {
   }
 }
 
+// LIMIT 0 returns no rows on every query shape: bare (pushed into the
+// morsels), ORDER BY (top-k) and GROUP BY (applied after aggregation);
+// LIMIT 2 still returns exactly two.
+TEST_F(ParallelScanTest, LimitZeroReturnsNoRows) {
+  const char* const shapes[] = {
+      "SELECT id FROM item",
+      "SELECT id FROM item ORDER BY id",
+      "SELECT grp, count(*) FROM item GROUP BY grp",
+  };
+  for (size_t workers : {1u, 4u}) {
+    for (bool compiled : {false, true}) {
+      Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
+      imon::testing::Populate(&db, /*seed=*/7);
+      for (const char* shape : shapes) {
+        for (int limit : {0, 2}) {
+          std::string q =
+              std::string(shape) + " LIMIT " + std::to_string(limit);
+          auto r = db.Execute(q);
+          ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
+          EXPECT_EQ(r->rows.size(), static_cast<size_t>(limit))
+              << q << " workers=" << workers << " compiled=" << compiled;
+        }
+      }
+    }
+  }
+}
+
 // Many client threads issuing queries against one shared database while
 // each query fans out over the worker pool: the TSan target for the
 // whole scan path (shard locks, worker pool, per-lane scratch).
@@ -305,6 +334,28 @@ TEST_F(ParallelScanTest, ParallelCountersSurfaceInMetrics) {
   ASSERT_TRUE(db.Execute("MODIFY sale TO HASH").ok());
   ASSERT_TRUE(db.Execute("SELECT count(*) FROM sale").ok());
   EXPECT_GT(db.metrics()->GetCounter("exec.parallel_scans.hash")->Value(), 0);
+
+  // A hash point probe is one scan of one morsel (its bucket).
+  ASSERT_TRUE(db.Execute("CREATE TABLE kv (id INT PRIMARY KEY, v TEXT) "
+                         "WITH MAIN_PAGES = 4")
+                  .ok());
+  ASSERT_TRUE(
+      db.Execute("INSERT INTO kv VALUES (1, 'a'), (2, 'b'), (3, 'c')").ok());
+  ASSERT_TRUE(db.Execute("MODIFY kv TO HASH").ok());
+  auto plan = db.Execute("EXPLAIN SELECT v FROM kv WHERE id = 2");
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NE(plan->stats.plan_text.find("HashLookup"), std::string::npos)
+      << plan->stats.plan_text;
+  int64_t scans =
+      db.metrics()->GetCounter("exec.parallel_scans.hash")->Value();
+  int64_t morsels = db.metrics()->GetCounter("exec.morsels_total")->Value();
+  auto probe = db.Execute("SELECT v FROM kv WHERE id = 2");
+  ASSERT_TRUE(probe.ok());
+  ASSERT_EQ(probe->rows.size(), 1u);
+  EXPECT_EQ(db.metrics()->GetCounter("exec.parallel_scans.hash")->Value(),
+            scans + 1);
+  EXPECT_EQ(db.metrics()->GetCounter("exec.morsels_total")->Value(),
+            morsels + 1);
 
   std::vector<std::string> want = {
       "buffer_pool.shard_lock_wait", "buffer_pool.shard0.hits",
