@@ -26,17 +26,6 @@ using optimizer::PlanSummary;
 
 namespace {
 
-/// Convert a ReferenceSet to the flat vectors the monitor stores.
-void FlattenRefs(const optimizer::ReferenceSet& refs,
-                 std::vector<monitor::ObjectId>* tables,
-                 std::vector<std::pair<monitor::ObjectId, int>>* attrs,
-                 std::vector<monitor::ObjectId>* indexes) {
-  tables->assign(refs.tables.begin(), refs.tables.end());
-  attrs->assign(refs.attributes.begin(), refs.attributes.end());
-  indexes->assign(refs.available_indexes.begin(),
-                  refs.available_indexes.end());
-}
-
 int64_t DiskIoTotal(const storage::DiskStats& s) {
   return s.physical_reads + s.physical_writes;
 }
@@ -147,6 +136,15 @@ Result<QueryResult> Database::Execute(const std::string& sql,
                                       Session* session) {
   StatementPipeline pipeline(this, session);
   return pipeline.Run(sql);
+}
+
+void Database::RecordBind(monitor::QueryTrace* trace,
+                          const optimizer::ReferenceSet& refs) {
+  if (!trace->active) return;
+  monitor_->OnBindComplete(
+      trace, {refs.tables.begin(), refs.tables.end()},
+      {refs.attributes.begin(), refs.attributes.end()},
+      {refs.available_indexes.begin(), refs.available_indexes.end()});
 }
 
 std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
@@ -359,12 +357,7 @@ Result<QueryResult> Database::ExecSelect(sql::SelectStmt* stmt,
                                          monitor::QueryTrace* trace) {
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
+  RecordBind(trace, bound.references);
 
   // Optimize (timed, I/O-accounted).
   int64_t opt_start = MonotonicNanos();
@@ -584,7 +577,7 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
                                          Session* session,
                                          monitor::QueryTrace* trace) {
   IMON_ASSIGN_OR_RETURN(TableInfo table, catalog_.GetTable(stmt->table));
-  monitor_->OnBindComplete(trace, {table.id}, {}, {});
+  if (trace->active) monitor_->OnBindComplete(trace, {table.id}, {}, {});
 
   IMON_RETURN_IF_ERROR(
       LockTable(session, table.id, txn::LockMode::kExclusive));
@@ -666,12 +659,7 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(optimizer::BoundModification bound,
                         binder.BindUpdate(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
+  RecordBind(trace, bound.references);
 
   int64_t opt_start = MonotonicNanos();
   Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
@@ -761,12 +749,7 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(optimizer::BoundModification bound,
                         binder.BindDelete(stmt));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(bound.references, &t, &a, &i);
-    monitor_->OnBindComplete(trace, std::move(t), std::move(a), std::move(i));
-  }
+  RecordBind(trace, bound.references);
 
   int64_t opt_start = MonotonicNanos();
   Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,

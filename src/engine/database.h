@@ -78,7 +78,8 @@ struct DatabaseOptions {
   /// boundaries are independent of the worker count.
   size_t exec_morsel_pages = exec::kDefaultMorselPages;
   /// Buffer pool shards (page-id hash partitioned, each with its own
-  /// mutex/page-table/free-list). Clamped to [1, buffer_pool_pages].
+  /// mutex/page-table/free-list). The pool clamps it so every shard
+  /// holds at least storage::BufferPool::kMinFramesPerShard frames.
   size_t buffer_pool_shards = DefaultBufferPoolShards();
 };
 
@@ -256,6 +257,10 @@ class Database {
     /// every cache hit; null when compilation is disabled or the
     /// statement uses a non-compilable construct (scalar fallback).
     std::shared_ptr<const exec::CompiledSelect> compiled;
+    /// Template fingerprint of the statement text, taken from its tokens
+    /// when the entry is filled, whatever the session, so a monitored hit
+    /// publishes it without lexing the text.
+    uint64_t fingerprint = 0;
   };
 
   std::shared_ptr<const CachedPlan> LookupPlanCache(uint64_t hash);
@@ -265,6 +270,12 @@ class Database {
   /// first use; stable for the thread's lifetime so BEGIN/COMMIT state
   /// stays with the thread that opened it).
   Session* BorrowThreadSession();
+
+  /// Bind sensor over the binder's references. The reference sets are
+  /// flattened only for a live trace, so an unmonitored statement does
+  /// no sensor work.
+  void RecordBind(monitor::QueryTrace* trace,
+                  const optimizer::ReferenceSet& refs);
 
   /// Lock, execute and monitor a bound+planned SELECT (shared by the
   /// cached and uncached paths).

@@ -6,24 +6,10 @@
 
 #include "engine/database.h"
 #include "exec/expr_program.h"
+#include "sql/normalizer.h"
 #include "sql/parser.h"
 
 namespace imon::engine {
-
-namespace {
-
-/// Convert a ReferenceSet to the flat vectors the monitor stores.
-void FlattenRefs(const optimizer::ReferenceSet& refs,
-                 std::vector<monitor::ObjectId>* tables,
-                 std::vector<std::pair<monitor::ObjectId, int>>* attrs,
-                 std::vector<monitor::ObjectId>* indexes) {
-  tables->assign(refs.tables.begin(), refs.tables.end());
-  attrs->assign(refs.attributes.begin(), refs.attributes.end());
-  indexes->assign(refs.available_indexes.begin(),
-                  refs.available_indexes.end());
-}
-
-}  // namespace
 
 StatementPipeline::StatementPipeline(Database* db, Session* session)
     : db_(db), session_(session) {}
@@ -34,20 +20,19 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
   if (!session_->internal()) {
     db_->monitor_->OnQueryStart(&trace_, session_->id());
   }
+  const bool plan_cache = db_->options_.plan_cache_capacity > 0;
+  // One hash of the text keys the plan cache and the parse sensor.
+  const uint64_t text_hash =
+      plan_cache || trace_.active ? HashStatement(sql) : 0;
 
   // Plan-cache fast path: a previously bound + planned SELECT is reused
   // verbatim while the catalog version is unchanged.
-  if (db_->options_.plan_cache_capacity > 0) {
-    auto entry = db_->LookupPlanCache(HashStatement(sql));
+  if (plan_cache) {
+    auto entry = db_->LookupPlanCache(text_hash);
     if (entry != nullptr) {
-      db_->monitor_->OnParseComplete(&trace_, sql);
-      {
-        std::vector<monitor::ObjectId> t, i;
-        std::vector<std::pair<monitor::ObjectId, int>> a;
-        FlattenRefs(entry->bound.references, &t, &a, &i);
-        db_->monitor_->OnBindComplete(&trace_, std::move(t), std::move(a),
-                                      std::move(i));
-      }
+      db_->monitor_->OnParseComplete(&trace_, sql, text_hash,
+                                     entry->fingerprint);
+      db_->RecordBind(&trace_, entry->bound.references);
       db_->monitor_->OnOptimizeComplete(&trace_, entry->summary.est_cost_cpu,
                                         entry->summary.est_cost_io,
                                         entry->summary.used_indexes, 0, 0);
@@ -58,37 +43,43 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
     }
   }
 
-  auto parsed = sql::Parse(sql);
-  if (!parsed.ok()) return parsed.status();
-  db_->monitor_->OnParseComplete(&trace_, sql);
+  sql::StatementPtr stmt;
+  bool fills_cache = false;
+  uint64_t fingerprint = 0;
+  {
+    // The tokens are freed before execution: a bulk INSERT's are large.
+    std::vector<sql::Token> tokens;
+    IMON_ASSIGN_OR_RETURN(stmt, sql::Parse(sql, &tokens));
+    fills_cache = plan_cache && stmt->kind() == sql::StatementKind::kSelect;
+    // The template fingerprint comes from the parser's tokens, and only a
+    // monitored statement or a cache-filling SELECT pays for it.
+    if (trace_.active || fills_cache) {
+      fingerprint = sql::TemplateFingerprint(tokens);
+    }
+  }
+  db_->monitor_->OnParseComplete(&trace_, sql, text_hash, fingerprint);
 
-  if (db_->options_.plan_cache_capacity > 0 &&
-      (*parsed)->kind() == sql::StatementKind::kSelect) {
-    return BindPlanAndCache(std::move(*parsed), sql);
+  if (fills_cache) {
+    return BindPlanAndCache(std::move(stmt), text_hash, fingerprint);
   }
 
-  return Finish(db_->Dispatch(parsed->get(), session_, &trace_, sql));
+  return Finish(db_->Dispatch(stmt.get(), session_, &trace_, sql));
 }
 
 Result<QueryResult> StatementPipeline::BindPlanAndCache(
-    sql::StatementPtr parsed, const std::string& sql) {
+    sql::StatementPtr parsed, uint64_t text_hash, uint64_t fingerprint) {
   using optimizer::Planner;
   using optimizer::PlannerOptions;
 
   auto entry = std::make_shared<Database::CachedPlan>();
   entry->catalog_version = db_->catalog_.version();
   entry->stmt = std::move(parsed);
+  entry->fingerprint = fingerprint;
   optimizer::Binder binder(&db_->catalog_);
   IMON_ASSIGN_OR_RETURN(
       entry->bound,
       binder.BindSelect(static_cast<sql::SelectStmt*>(entry->stmt.get())));
-  {
-    std::vector<monitor::ObjectId> t, i;
-    std::vector<std::pair<monitor::ObjectId, int>> a;
-    FlattenRefs(entry->bound.references, &t, &a, &i);
-    db_->monitor_->OnBindComplete(&trace_, std::move(t), std::move(a),
-                                  std::move(i));
-  }
+  db_->RecordBind(&trace_, entry->bound.references);
   int64_t opt_start = MonotonicNanos();
   Planner planner(&db_->catalog_,
                   PlannerOptions{db_->options_.cost_model, {},
@@ -106,7 +97,7 @@ Result<QueryResult> StatementPipeline::BindPlanAndCache(
     if (cr.ok()) entry->compiled = std::move(*cr);
   }
   std::shared_ptr<const Database::CachedPlan> shared = entry;
-  db_->StorePlanCache(HashStatement(sql), shared);
+  db_->StorePlanCache(text_hash, shared);
   return Finish(db_->RunPlannedSelect(shared->bound, *shared->plan,
                                       shared->summary, shared->compiled.get(),
                                       session_, &trace_));

@@ -40,9 +40,11 @@ class StatementPipeline {
   const monitor::QueryTrace& trace() const { return trace_; }
 
  private:
-  /// Cache-filling SELECT path: bind + plan once, remember, execute.
+  /// Cache-filling SELECT path: bind + plan once, remember under the
+  /// text hash with the template fingerprint, execute.
   Result<QueryResult> BindPlanAndCache(sql::StatementPtr parsed,
-                                       const std::string& sql);
+                                       uint64_t text_hash,
+                                       uint64_t fingerprint);
 
   /// Publish the trace on success (shared tail of every path).
   Result<QueryResult> Finish(Result<QueryResult> result);

@@ -4,7 +4,9 @@
 // call sites along the statement path (paper Fig. 2):
 //
 //   Query interface   -> OnQueryStart            (wallclock start)
-//   Parser            -> OnParseComplete         (query text + hash)
+//   Parser            -> OnParseComplete         (query text + hash, and
+//                                                 the template fingerprint
+//                                                 from the parser's tokens)
 //   Binder/catalog    -> OnBindComplete          (tables, attributes,
 //                                                 histograms, avail. indexes)
 //   Optimizer         -> OnOptimizeComplete      (estimated costs,
@@ -255,6 +257,10 @@ struct QueryTrace {
   int64_t mono_start_nanos = 0;
   uint64_t hash = 0;
   std::string text;
+  /// Template fingerprint (sql::TemplateFingerprint) when the front end
+  /// supplied one; otherwise Commit normalizes `text` to find it.
+  uint64_t fingerprint = 0;
+  bool has_fingerprint = false;
   int64_t monitor_nanos = 0;
 
   std::vector<ObjectId> ref_tables;
@@ -333,12 +339,30 @@ class Monitor {
     trace->monitor_nanos += MonotonicNanos() - begin;
   }
 
+  /// Text only: the sensor hashes the text, and Commit normalizes it to
+  /// find the statement's template.
   void OnParseComplete(QueryTrace* trace, std::string_view text) {
     if (!config_.enabled || !trace->active) return;
     int64_t begin = MonotonicNanos();
     MarkStage(trace, Stage::kParse, begin);
     trace->text.assign(text.data(), text.size());
     trace->hash = HashStatement(text);
+    trace->has_fingerprint = false;
+    trace->monitor_nanos += MonotonicNanos() - begin;
+  }
+
+  /// As the engine calls it: `hash` is HashStatement(text) and
+  /// `fingerprint` the template fingerprint, both computed once by the
+  /// front end, so Commit does no lexing.
+  void OnParseComplete(QueryTrace* trace, std::string_view text,
+                       uint64_t hash, uint64_t fingerprint) {
+    if (!config_.enabled || !trace->active) return;
+    int64_t begin = MonotonicNanos();
+    MarkStage(trace, Stage::kParse, begin);
+    trace->text.assign(text.data(), text.size());
+    trace->hash = hash;
+    trace->fingerprint = fingerprint;
+    trace->has_fingerprint = true;
     trace->monitor_nanos += MonotonicNanos() - begin;
   }
 

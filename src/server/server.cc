@@ -452,10 +452,11 @@ class Server::EventLoop {
                     /*then_close=*/true);
           return false;
         }
+        int fd = conn->fd;  // SendError may close + free conn
         if (server_->draining_.load(std::memory_order_acquire)) {
           SendError(conn, Status::Aborted("server shutting down"),
                     /*then_close=*/false);
-          return true;
+          return conns_.count(fd) != 0;
         }
         Request req;
         req.conn_id = conn->conn_id;
@@ -468,7 +469,7 @@ class Server::EventLoop {
                     Status::ResourceExhausted(
                         "server request queue is full; retry"),
                     /*then_close=*/false);
-          return true;
+          return conns_.count(fd) != 0;
         }
         SetState(conn, ConnState::kExecuting);
         UpdateEvents(conn);  // drop EPOLLIN until the response lands

@@ -5,6 +5,11 @@
 // the unit of workload compression (per-template rolling aggregates replace
 // raw per-execution rows past the monitor's ring window).
 //
+// The rules run as one streaming pass over the lexer's tokens that feeds
+// either a text sink (NormalizeStatement) or a hash sink
+// (TemplateFingerprint), so the parser's token vector yields the
+// fingerprint without lexing the text a second time.
+//
 // Canonicalization rules (documented in DESIGN.md §12):
 //   - integer / float / string literals -> `?` (sign folded in when unary)
 //   - `true` / `false` keyword literals -> `?`
@@ -18,6 +23,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
+
+#include "sql/lexer.h"
 
 namespace imon::sql {
 
@@ -32,6 +40,11 @@ struct NormalizedStatement {
 /// text becomes its own template (normalized=false) so malformed statements
 /// still aggregate under a stable fingerprint.
 NormalizedStatement NormalizeStatement(const std::string& text);
+
+/// Template fingerprint of a tokenized statement (`tokens` as Tokenize
+/// returns them): equal to NormalizeStatement(text).fingerprint for the
+/// text the tokens came from, without building the template text.
+uint64_t TemplateFingerprint(const std::vector<Token>& tokens);
 
 }  // namespace imon::sql
 

@@ -5,11 +5,18 @@
 namespace imon::sql {
 
 Result<StatementPtr> Parse(const std::string& sql) {
-  IMON_ASSIGN_OR_RETURN(std::vector<Token> tokens, Tokenize(sql));
-  internal::Parser parser(std::move(tokens));
+  std::vector<Token> tokens;
+  return Parse(sql, &tokens);
+}
+
+Result<StatementPtr> Parse(const std::string& sql,
+                           std::vector<Token>* tokens) {
+  IMON_ASSIGN_OR_RETURN(std::vector<Token> lexed, Tokenize(sql));
+  internal::Parser parser(std::move(lexed));
   IMON_ASSIGN_OR_RETURN(StatementPtr stmt, parser.ParseStatement());
   if (!parser.AtEnd())
     return Status::InvalidArgument("unexpected trailing tokens in statement");
+  *tokens = parser.TakeTokens();
   return stmt;
 }
 

@@ -14,6 +14,12 @@ namespace imon::sql {
 /// Parse one statement (optionally ;-terminated).
 Result<StatementPtr> Parse(const std::string& sql);
 
+/// Parse one statement and hand back the tokens it was parsed from in
+/// `*tokens`, so the caller can take the statement's template fingerprint
+/// (TemplateFingerprint, normalizer.h) without lexing the text again.
+/// The caller decides from the parsed statement whether it needs one.
+Result<StatementPtr> Parse(const std::string& sql, std::vector<Token>* tokens);
+
 /// Parse a standalone scalar/boolean expression (used for programmatic
 /// trigger and alert predicates).
 Result<ExprPtr> ParseExpression(const std::string& text);
@@ -29,6 +35,9 @@ class Parser {
 
   /// True when every token was consumed (trailing ';' allowed).
   bool AtEnd();
+
+  /// The tokens, moved out once parsing is done.
+  std::vector<Token> TakeTokens() { return std::move(tokens_); }
 
  private:
   const Token& Peek(size_t ahead = 0) const;

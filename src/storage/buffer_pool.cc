@@ -1,5 +1,6 @@
 #include "storage/buffer_pool.h"
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -21,7 +22,10 @@ BufferPool::BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards)
     : disk_(disk), capacity_(capacity_pages) {
   if (capacity_ == 0) capacity_ = 1;
   if (shards == 0) shards = 1;
-  if (shards > capacity_) shards = capacity_;
+  // At least kMinFramesPerShard frames per shard: a one-frame shard fails
+  // any operation that pins two of its pages at once.
+  shards = std::min(shards,
+                    std::max<size_t>(1, capacity_ / kMinFramesPerShard));
   shards_.reserve(shards);
   size_t base = capacity_ / shards;
   size_t extra = capacity_ % shards;

@@ -105,10 +105,13 @@ struct BufferPoolShardInfo {
 class BufferPool {
  public:
   /// `shards` defaults to 1 (a classic single-instance pool). Shards are
-  /// clamped to [1, capacity_pages] so every shard owns at least one
-  /// frame.
+  /// clamped to [1, capacity_pages / kMinFramesPerShard] so every shard
+  /// owns at least kMinFramesPerShard frames (a pool smaller than that
+  /// is one shard).
   BufferPool(DiskManager* disk, size_t capacity_pages, size_t shards = 1);
   ~BufferPool();
+
+  static constexpr size_t kMinFramesPerShard = 4;
 
   /// Pin an existing page.
   Result<PageGuard> Fetch(PageId pid);

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
 #include "exec/worker_pool.h"
+#include "ima/ima.h"
+#include "sql/normalizer.h"
 
 namespace imon::engine {
 namespace {
@@ -669,6 +672,76 @@ TEST_F(DatabaseTest, PlanCacheMonitoredLikeNormalStatements) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+/// imp_templates as (fingerprint, template_text, executions, sample_text)
+/// rows after a fixed statement mix. An internal session first fills the
+/// plan cache with a SELECT that a user session then hits.
+std::vector<std::string> TemplatesAfterMix(size_t plan_cache_capacity) {
+  SimulatedClock clock(1'000'000);  // one timestamp: sample = min hash
+  DatabaseOptions options;
+  options.clock = &clock;
+  options.plan_cache_capacity = plan_cache_capacity;
+  Database db(options);
+  EXPECT_TRUE(ima::RegisterImaTables(&db).ok());
+  auto internal = db.CreateInternalSession();
+  auto exec = [&](const std::string& sql, Session* session) {
+    auto r = db.Execute(sql, session);
+    EXPECT_TRUE(r.ok()) << sql << " -> " << r.status();
+  };
+  exec("CREATE TABLE t (v INT PRIMARY KEY, w INT)", internal.get());
+  exec("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)", internal.get());
+  exec("SELECT w FROM t WHERE v = 2", internal.get());
+
+  auto user = db.CreateSession();
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& sql : {
+             std::string("SELECT w FROM t WHERE v = 2"),
+             "SELECT w FROM t WHERE v = " + std::to_string(round),
+             std::string("SELECT count(*) FROM t WHERE v IN (1, 2, 3);"),
+             "SELECT count(*) FROM t WHERE v IN (" +
+                 std::to_string(round) + ")",
+             "select W from T where V > -" + std::to_string(round),
+             "UPDATE t SET w = w + 1 WHERE v = " + std::to_string(round),
+             "INSERT INTO t VALUES (" + std::to_string(10 + round) + ", 0)",
+         }) {
+      exec(sql, user.get());
+    }
+  }
+  if (plan_cache_capacity > 0) {
+    EXPECT_GT(db.plan_cache_stats().hits, 0);
+  }
+
+  auto r = db.Execute(
+      "SELECT fingerprint, template_text, executions, sample_text "
+      "FROM imp_templates",
+      internal.get());
+  EXPECT_TRUE(r.ok()) << r.status();
+  std::vector<std::string> rows;
+  if (!r.ok()) return rows;
+  for (const Row& row : r->rows) {
+    std::string line;
+    for (const Value& v : row) line += v.ToString() + " | ";
+    rows.push_back(line);
+  }
+  std::sort(rows.begin(), rows.end());
+  // The internally filled, user-hit entry records the text's fingerprint.
+  auto fp = static_cast<int64_t>(
+      sql::NormalizeStatement("SELECT w FROM t WHERE v = 2").fingerprint);
+  EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), [&](const std::string& s) {
+    return s.rfind(Value::Int(fp).ToString() +
+                       " | 'select w from t where v = ?' | 6 |",
+                   0) == 0;
+  })) << "missing the point-select template in\n"
+      << ::testing::PrintToString(rows);
+  return rows;
+}
+
+TEST(PlanCacheTemplateTest, TemplatesIdenticalWithPlanCacheOnAndOff) {
+  std::vector<std::string> off = TemplatesAfterMix(0);
+  std::vector<std::string> on = TemplatesAfterMix(64);
+  EXPECT_EQ(off.size(), 5u);
+  EXPECT_EQ(on, off);
 }
 
 TEST_F(DatabaseTest, ParseErrorsDoNotCrash) {

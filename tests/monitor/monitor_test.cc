@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "sql/normalizer.h"
+
 namespace imon::monitor {
 namespace {
 
@@ -229,6 +231,44 @@ TEST(MonitorTest, TemplatesAggregateAcrossLiterals) {
   EXPECT_EQ(point->sample_text, "SELECT a FROM t WHERE id = 1");
   EXPECT_EQ(point->ref_tables, std::vector<ObjectId>{1});
   EXPECT_GT(point->seq, 0);
+}
+
+TEST(MonitorTest, SuppliedFingerprintPublishedAsGiven) {
+  Monitor m(SmallConfig(), RealClock::Instance());
+  // Deliberately not what normalization would give: the monitor must take
+  // the front end's hash and fingerprint as they are.
+  constexpr uint64_t kHash = 77;
+  constexpr uint64_t kFingerprint = 0xf1f1;
+  for (const std::string text : {"SELECT a FROM t WHERE id = 1",
+                                 "SELECT a FROM t WHERE id = 2",
+                                 "SELECT other FROM elsewhere"}) {
+    QueryTrace trace;
+    m.OnQueryStart(&trace);
+    m.OnParseComplete(&trace, text, kHash, kFingerprint);
+    m.OnExecuteComplete(&trace, 1000, 0, 1.0, 1, 1);
+    m.Commit(&trace);
+  }
+  auto templates = m.SnapshotTemplates();
+  ASSERT_EQ(templates.size(), 1u);
+  EXPECT_EQ(templates[0].fingerprint, kFingerprint);
+  EXPECT_EQ(templates[0].executions, 3);
+  // Template text is built once, from the statement that created it.
+  EXPECT_EQ(templates[0].template_text, "select a from t where id = ?");
+  auto statements = m.SnapshotStatements();
+  ASSERT_EQ(statements.size(), 1u);
+  EXPECT_EQ(statements[0].hash, kHash);
+  EXPECT_EQ(statements[0].frequency, 3);
+
+  // A trace given only text is normalized at Commit.
+  RunStatement(&m, "SELECT a FROM t WHERE id = 3");
+  templates = m.SnapshotTemplates();
+  ASSERT_EQ(templates.size(), 2u);
+  const TemplateRecord& normalized =
+      templates[0].fingerprint == kFingerprint ? templates[1] : templates[0];
+  EXPECT_EQ(
+      normalized.fingerprint,
+      sql::NormalizeStatement("SELECT a FROM t WHERE id = 3").fingerprint);
+  EXPECT_EQ(normalized.template_text, "select a from t where id = ?");
 }
 
 TEST(MonitorTest, TemplateWindowEvictsOldest) {

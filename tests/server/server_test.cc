@@ -494,6 +494,9 @@ TEST_F(ServerTest, FaultHooksDropConnectionsWithoutLeakingSlots) {
   injector.Disarm();
   Client healthy = MustConnect();
   EXPECT_TRUE(healthy.Ping().ok());
+  // The hooks call into `injector`, which dies with this scope: stop the
+  // server's threads first.
+  server_->Shutdown();
 }
 
 // ---------------------------------------------------------------------------
