@@ -24,6 +24,7 @@
 
 #include "engine/database.h"
 #include "gtest/gtest.h"
+#include "sql/normalizer.h"
 
 namespace imon::monitor {
 namespace {
@@ -101,6 +102,65 @@ TEST(MonitorConcurrencyTest, NoLostOrDuplicatedSeqsUnderContention) {
   EXPECT_EQ(m.TableFrequencies().at(1), kTotal);
   EXPECT_EQ(m.AttributeFrequencies().at({1, 0}), kTotal);
   EXPECT_EQ(m.IndexFrequencies().at(7), kTotal);
+}
+
+// Sessions sharing one shard race to create the same templates. A commit
+// that carries a fingerprint builds a new template's text outside the
+// shard lock and looks again after retaking it, so each template must be
+// created once, count every execution and keep the text of its fingerprint
+// -- also when a small window churns templates out and back in.
+TEST(MonitorConcurrencyTest, TemplateCreationRacesOnOneShard) {
+  constexpr int kThreads = 6;
+  constexpr int64_t kCommits = 600;
+  constexpr int kTemplates = 48;
+  std::vector<std::string> texts;
+  std::vector<uint64_t> fingerprints;
+  for (int k = 0; k < kTemplates; ++k) {
+    texts.push_back("SELECT c" + std::to_string(k) + " FROM t WHERE v = " +
+                    std::to_string(k));
+    fingerprints.push_back(sql::NormalizeStatement(texts.back()).fingerprint);
+  }
+  for (size_t window : {size_t{4096}, size_t{8}}) {
+    MonitorConfig config = BigWindows(1);
+    config.template_window = window;
+    Monitor m(config, RealClock::Instance());
+    std::vector<std::thread> workers;
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back([&, t] {
+        for (int64_t i = 0; i < kCommits; ++i) {
+          size_t k = static_cast<size_t>((i * 7 + t) % kTemplates);
+          QueryTrace trace;
+          m.OnQueryStart(&trace, t + 1);
+          m.OnParseComplete(&trace, texts[k], HashStatement(texts[k]),
+                            fingerprints[k]);
+          m.OnExecuteComplete(&trace, 1000, 0, 1.0, 1, 1);
+          m.Commit(&trace);
+        }
+      });
+    }
+    for (auto& w : workers) w.join();
+
+    auto templates = m.SnapshotTemplates();
+    ASSERT_LE(templates.size(), std::min<size_t>(window, kTemplates));
+    int64_t executions = 0;
+    std::set<uint64_t> seen;
+    for (const TemplateRecord& tmpl : templates) {
+      EXPECT_TRUE(seen.insert(tmpl.fingerprint).second);
+      auto it = std::find(fingerprints.begin(), fingerprints.end(),
+                          tmpl.fingerprint);
+      ASSERT_NE(it, fingerprints.end());
+      size_t k = static_cast<size_t>(it - fingerprints.begin());
+      EXPECT_EQ(tmpl.template_text,
+                sql::NormalizeStatement(texts[k]).template_text);
+      executions += tmpl.executions;
+    }
+    if (window >= kTemplates) {
+      EXPECT_EQ(templates.size(), static_cast<size_t>(kTemplates));
+      EXPECT_EQ(executions, kThreads * kCommits);
+    } else {
+      EXPECT_LE(executions, kThreads * kCommits);
+    }
+  }
 }
 
 TEST(MonitorConcurrencyTest, ShardStatsAccountForCommitsAndDrops) {

@@ -245,6 +245,31 @@ TEST(BufferPoolShardingTest, ExhaustingOneShardLeavesOthersUsable) {
   EXPECT_TRUE(pool.Fetch(shard0[4]).ok());
 }
 
+TEST(BufferPoolShardingTest, SmallPoolsKeepMinFramesPerShard) {
+  DiskManager disk;
+  EXPECT_EQ(BufferPool(&disk, 8, 8).shard_count(), 2u);
+  EXPECT_EQ(BufferPool(&disk, 7, 8).shard_count(), 1u);
+  EXPECT_EQ(BufferPool(&disk, 2, 8).shard_count(), 1u);
+  EXPECT_EQ(BufferPool(&disk, 9, 0).shard_count(), 1u);
+
+  // An 8-page pool asked for 8 shards can still pin two pages of one
+  // shard at once (with one-frame shards the second pin would fail).
+  BufferPool pool(&disk, 8, 8);
+  for (const BufferPoolShardInfo& info : pool.ShardInfos()) {
+    EXPECT_GE(info.capacity, BufferPool::kMinFramesPerShard);
+  }
+  FileId f = disk.CreateFile();
+  std::vector<PageGuard> shard0_pins;
+  while (shard0_pins.size() < 2) {
+    auto g = pool.New(f);
+    ASSERT_TRUE(g.ok()) << g.status().message();
+    if (pool.ShardFor(g->page_id()) == 0) {
+      shard0_pins.push_back(std::move(g.TakeValue()));
+    }
+  }
+  EXPECT_NE(shard0_pins[0].page_id(), shard0_pins[1].page_id());
+}
+
 TEST(BufferPoolShardingTest, ConcurrentPinnersExhaustShardGracefully) {
   DiskManager disk;
   BufferPool pool(&disk, 16, 4);  // 4 frames per shard
