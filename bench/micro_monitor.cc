@@ -78,27 +78,36 @@ void BM_SensorOnBindComplete(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorOnBindComplete);
 
-/// Sensors + Commit as the engine drives them: the pipeline hashes the
-/// text once and takes the template fingerprint from the parser's tokens
-/// (lexing is the parser's, so it stays outside the loop), and Commit does
-/// no lexing.
+/// Sensors + Commit as the engine drives them: the session's trace is
+/// reset and reused, the pipeline hashes the text once and takes the
+/// template fingerprint from the parser's tokens (lexing is the parser's,
+/// so it stays outside the loop), the optimizer reports one used index,
+/// and Commit does no lexing.
 void BM_SensorCommit(benchmark::State& state) {
   monitor::Monitor m(Config(true), RealClock::Instance());
-  // Vary the hash like the 50k test so the registry churns.
+  // 20,000 distinct texts of one template, like the 1m test's uniform
+  // keys: nearly every commit is a new registry entry evicting the oldest.
   std::vector<std::string> texts;
   std::vector<std::vector<sql::Token>> tokens;
-  for (int i = 0; i < 2000; ++i) {
-    texts.push_back("SELECT v FROM t WHERE v = 1" + std::to_string(i));
+  for (int i = 0; i < 20000; ++i) {
+    texts.push_back("SELECT v FROM t WHERE v = " + std::to_string(100000 + i));
     tokens.push_back(*sql::Tokenize(texts.back()));
   }
+  // The binder's reference sets outlive the sensor call, as in the engine.
+  const std::vector<int64_t> tables = {1};
+  const std::vector<std::pair<int64_t, int>> attributes = {{1, 0}};
+  const std::vector<int64_t> indexes = {7};
+  const std::vector<int64_t> used_indexes = {7};
+  monitor::QueryTrace trace;
   size_t i = 0;
   for (auto _ : state) {
     const std::string& text = texts[i];
-    monitor::QueryTrace trace;
+    trace.Reset();
     m.OnQueryStart(&trace);
     m.OnParseComplete(&trace, text, HashStatement(text),
                       sql::TemplateFingerprint(tokens[i]));
-    m.OnBindComplete(&trace, {1}, {{1, 0}}, {});
+    m.OnBindComplete(&trace, tables, attributes, indexes);
+    m.OnOptimizeComplete(&trace, 1.0, 2.0, used_indexes, 500, 0);
     m.OnExecuteComplete(&trace, 1000, 0, 1.0, 1, 1);
     m.Commit(&trace);
     i = (i + 1) % texts.size();

@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <span>
 
 #include "catalog/histogram.h"
 #include "engine/statement_pipeline.h"
@@ -140,11 +141,8 @@ Result<QueryResult> Database::Execute(const std::string& sql,
 
 void Database::RecordBind(monitor::QueryTrace* trace,
                           const optimizer::ReferenceSet& refs) {
-  if (!trace->active) return;
-  monitor_->OnBindComplete(
-      trace, {refs.tables.begin(), refs.tables.end()},
-      {refs.attributes.begin(), refs.attributes.end()},
-      {refs.available_indexes.begin(), refs.available_indexes.end()});
+  monitor_->OnBindComplete(trace, refs.tables, refs.attributes,
+                           refs.available_indexes);
 }
 
 std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
@@ -553,6 +551,9 @@ Status Database::BumpRowCount(ObjectId table_id, int64_t delta) {
 
 Status Database::FireTriggers(const TableInfo& table, const Row& row) {
   std::vector<AlertEvent> events;
+  // Called outside the lock, so it is copied under it: SetAlertHandler may
+  // replace the member while the handler runs.
+  AlertHandler handler;
   {
     std::lock_guard<std::mutex> lock(trigger_mutex_);
     if (alert_handler_ == nullptr) return Status::OK();
@@ -568,8 +569,10 @@ Status Database::FireTriggers(const TableInfo& table, const Row& row) {
                        row});
       }
     }
+    if (events.empty()) return Status::OK();
+    handler = alert_handler_;
   }
-  for (const AlertEvent& e : events) alert_handler_(e);
+  for (const AlertEvent& e : events) handler(e);
   return Status::OK();
 }
 
@@ -577,7 +580,7 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
                                          Session* session,
                                          monitor::QueryTrace* trace) {
   IMON_ASSIGN_OR_RETURN(TableInfo table, catalog_.GetTable(stmt->table));
-  if (trace->active) monitor_->OnBindComplete(trace, {table.id}, {}, {});
+  monitor_->OnBindComplete(trace, std::span(&table.id, 1), {}, {});
 
   IMON_RETURN_IF_ERROR(
       LockTable(session, table.id, txn::LockMode::kExclusive));

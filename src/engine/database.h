@@ -152,6 +152,20 @@ class Session {
 
  private:
   friend class Database;
+  friend class StatementPipeline;
+
+  /// The trace for a statement starting at the current nesting depth.
+  /// A statement run from inside another on this session (say, from an
+  /// alert handler during an INSERT) gets the next level's trace, so the
+  /// outer statement's trace is left intact.
+  monitor::QueryTrace& AcquireTrace() {
+    if (trace_depth_ == traces_.size()) {
+      traces_.push_back(std::make_unique<monitor::QueryTrace>());
+    }
+    return *traces_[trace_depth_++];
+  }
+  void ReleaseTrace() { --trace_depth_; }
+
   struct UndoEntry {
     enum class Op { kInsert, kDelete, kUpdate } op;
     catalog::ObjectId table_id;
@@ -167,6 +181,9 @@ class Session {
   /// True when the transaction was started implicitly for one statement.
   bool txn_implicit_ = false;
   std::vector<UndoEntry> undo_;
+  /// One trace per nesting level, kept across statements.
+  std::vector<std::unique_ptr<monitor::QueryTrace>> traces_;
+  size_t trace_depth_ = 0;
 };
 
 class Database {
@@ -271,9 +288,8 @@ class Database {
   /// stays with the thread that opened it).
   Session* BorrowThreadSession();
 
-  /// Bind sensor over the binder's references. The reference sets are
-  /// flattened only for a live trace, so an unmonitored statement does
-  /// no sensor work.
+  /// Bind sensor over the binder's references: the sets are copied
+  /// straight into the trace's vectors, and only for a live trace.
   void RecordBind(monitor::QueryTrace* trace,
                   const optimizer::ReferenceSet& refs);
 

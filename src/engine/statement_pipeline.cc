@@ -12,9 +12,12 @@
 namespace imon::engine {
 
 StatementPipeline::StatementPipeline(Database* db, Session* session)
-    : db_(db), session_(session) {}
+    : db_(db), session_(session), trace_(session->AcquireTrace()) {}
+
+StatementPipeline::~StatementPipeline() { session_->ReleaseTrace(); }
 
 Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
+  trace_.Reset();
   // Internal sessions (the daemon's IMA polling) bypass the monitor so
   // self-observation does not flood the statement history.
   if (!session_->internal()) {

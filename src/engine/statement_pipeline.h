@@ -3,9 +3,12 @@
 //
 //   Parse -> Bind -> Optimize -> Execute -> Commit
 //
-// owning the per-call monitor::QueryTrace, so every stage's sensor state
-// is local to the call — no shared trace, no locks until the final
-// Commit publishes into the monitor's shard for this session.
+// filling the session's monitor::QueryTrace, so every stage's sensor
+// state is local to the session — no shared trace, no locks until the
+// final Commit publishes into the monitor's shard for this session. The
+// session keeps the trace between statements (reset, not rebuilt), so its
+// buffers keep their capacity and a warm statement's sensors and Commit
+// allocate nothing.
 //
 // Database::Execute is a thin wrapper that constructs a pipeline; the
 // plan-cache fast path and the cache-filling SELECT path are stages of
@@ -28,16 +31,18 @@ struct QueryResult;
 
 class StatementPipeline {
  public:
-  /// Binds the pipeline to one engine + session. The session must
-  /// outlive the pipeline; a pipeline runs exactly one statement.
+  /// Binds the pipeline to one engine + session and claims the session's
+  /// trace for the pipeline's nesting level. The session must outlive the
+  /// pipeline; a pipeline runs exactly one statement.
   StatementPipeline(Database* db, Session* session);
+  ~StatementPipeline();
+
+  StatementPipeline(const StatementPipeline&) = delete;
+  StatementPipeline& operator=(const StatementPipeline&) = delete;
 
   /// Run one statement end to end. On success the trace is committed to
   /// the monitor and the periodic statistics sampler is consulted.
   Result<QueryResult> Run(const std::string& sql);
-
-  /// The per-call trace (for tests; populated after Run).
-  const monitor::QueryTrace& trace() const { return trace_; }
 
  private:
   /// Cache-filling SELECT path: bind + plan once, remember under the
@@ -51,7 +56,7 @@ class StatementPipeline {
 
   Database* db_;
   Session* session_;
-  monitor::QueryTrace trace_;
+  monitor::QueryTrace& trace_;
 };
 
 }  // namespace imon::engine

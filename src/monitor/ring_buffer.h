@@ -22,14 +22,19 @@ class RingBuffer {
   }
 
   /// Append, overwriting the oldest entry when full.
-  void Push(T item) {
-    if (items_.size() < capacity_) {
-      items_.push_back(std::move(item));
-    } else {
-      items_[head_] = std::move(item);
-      head_ = (head_ + 1) % capacity_;
-      ++overwritten_;
-    }
+  void Push(T item) { PushSlot() = std::move(item); }
+
+  /// Slot-overwrite push: claims the slot the next entry occupies and
+  /// returns it for the caller to fill in place. Once the ring is full
+  /// that slot holds the oldest entry (still readable until overwritten),
+  /// so assigning into its members reuses their buffers instead of
+  /// freeing them.
+  T& PushSlot() {
+    if (items_.size() < capacity_) return items_.emplace_back();
+    T& slot = items_[head_];
+    head_ = (head_ + 1) % capacity_;
+    ++overwritten_;
+    return slot;
   }
 
   size_t size() const { return items_.size(); }

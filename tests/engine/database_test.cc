@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <map>
+#include <set>
 #include <thread>
 
 #include "exec/worker_pool.h"
@@ -471,6 +474,102 @@ TEST_F(DatabaseTest, TriggersRaiseAlerts) {
   EXPECT_EQ(alerts[0].trigger_name, "too_many");
   EXPECT_EQ(alerts[0].message, "session limit reached");
   EXPECT_EQ(alerts[0].row[0].AsInt(), 120);
+}
+
+TEST_F(DatabaseTest, StatementNestedInAlertHandlerCommitsBothTraces) {
+  MustExec("CREATE TABLE metrics (sessions INT)");
+  MustExec("CREATE TABLE audit (v INT)");
+  MustExec("CREATE TRIGGER too_many AFTER INSERT ON metrics "
+           "WHEN sessions >= 100 RAISE 'session limit reached'");
+  const std::string outer = "INSERT INTO metrics VALUES (120)";
+  const std::string inner = "SELECT v FROM audit WHERE v = 7";
+  auto session = db_.CreateSession();
+  int nested_runs = 0;
+  // The handler runs on the inserting thread, in the middle of the
+  // INSERT, and issues a statement on the same session.
+  db_.SetAlertHandler([&](const AlertEvent&) {
+    auto r = db_.Execute(inner, session.get());
+    EXPECT_TRUE(r.ok()) << r.status();
+    ++nested_runs;
+  });
+  db_.monitor()->Clear();
+  ASSERT_TRUE(db_.Execute(outer, session.get()).ok());
+  db_.SetAlertHandler(nullptr);
+  ASSERT_EQ(nested_runs, 1);
+
+  const uint64_t outer_hash = HashStatement(outer);
+  const uint64_t inner_hash = HashStatement(inner);
+  // The inner statement commits first; each record is its own.
+  auto workload = db_.monitor()->SnapshotWorkload();
+  ASSERT_EQ(workload.size(), 2u);
+  EXPECT_EQ(workload[0].hash, inner_hash);
+  EXPECT_EQ(workload[0].rows_output, 0);
+  EXPECT_EQ(workload[1].hash, outer_hash);
+  EXPECT_EQ(workload[1].rows_output, 1);
+  EXPECT_GE(workload[1].wallclock_nanos, workload[0].wallclock_nanos);
+
+  auto metrics = db_.catalog()->GetTable("metrics");
+  auto audit = db_.catalog()->GetTable("audit");
+  ASSERT_TRUE(metrics.ok() && audit.ok());
+  std::multiset<std::pair<uint64_t, int64_t>> table_refs;
+  for (const auto& ref : db_.monitor()->SnapshotReferences()) {
+    if (ref.type == monitor::RefType::kTable) {
+      table_refs.insert({ref.hash, ref.object_id});
+    }
+  }
+  EXPECT_EQ(table_refs, (std::multiset<std::pair<uint64_t, int64_t>>{
+                            {inner_hash, audit->id}, {outer_hash, metrics->id}}));
+
+  std::map<uint64_t, std::string> texts;
+  for (const auto& st : db_.monitor()->SnapshotStatements()) {
+    texts[st.hash] = st.text;
+  }
+  EXPECT_EQ(texts[inner_hash], inner);
+  EXPECT_EQ(texts[outer_hash], outer);
+
+#ifndef IMON_METRICS_DISABLED
+  // INSERT has no optimize stage; the nested SELECT has all five.
+  std::map<uint64_t, int> spans;
+  for (const auto& tr : db_.monitor()->SnapshotTraces()) ++spans[tr.hash];
+  EXPECT_EQ(spans[outer_hash], monitor::kNumStages - 1);
+  EXPECT_EQ(spans[inner_hash], monitor::kNumStages);
+#endif
+}
+
+TEST_F(DatabaseTest, AlertHandlerSwapWhileTriggersFire) {
+  MustExec("CREATE TABLE metrics (sessions INT)");
+  MustExec("CREATE TRIGGER every_row AFTER INSERT ON metrics "
+           "WHEN sessions >= 0 RAISE 'row'");
+  std::atomic<int64_t> fired{0};
+  // Each handler owns a heap-allocated capture, so replacing it frees
+  // memory a handler still running would read.
+  auto make_handler = [&fired](int gen) {
+    std::string tag(64, static_cast<char>('a' + gen % 26));
+    return [&fired, tag](const AlertEvent&) {
+      if (tag.size() == 64) fired.fetch_add(1);
+    };
+  };
+  db_.SetAlertHandler(make_handler(0));
+  std::atomic<bool> stop{false};
+  std::thread swapper([&] {
+    for (int gen = 1; !stop.load(); ++gen) {
+      db_.SetAlertHandler(make_handler(gen));
+      std::this_thread::yield();
+    }
+  });
+  auto session = db_.CreateSession();
+  constexpr int kInserts = 400;
+  int ok = 0;
+  for (int i = 0; i < kInserts; ++i) {
+    auto r = db_.Execute("INSERT INTO metrics VALUES (" + std::to_string(i) +
+                             ")",
+                         session.get());
+    if (r.ok()) ++ok;
+  }
+  stop.store(true);
+  swapper.join();
+  EXPECT_EQ(ok, kInserts);
+  EXPECT_EQ(fired.load(), kInserts);
 }
 
 /// Runs the statements RowsExaminedTest pins against `db`.
