@@ -43,6 +43,39 @@ TEST(MonitorTest, DisabledSensorsLeaveNoTrace) {
   EXPECT_EQ(m.statements_executed(), 0);
 }
 
+TEST(MonitorTest, ResetTraceTakesDefaultsAndKeepsCapacity) {
+  Monitor m(SmallConfig(), RealClock::Instance());
+  QueryTrace trace =
+      RunStatement(&m, "SELECT a FROM t WHERE a = 'a long enough literal'");
+  const size_t text_capacity = trace.text.capacity();
+  ASSERT_FALSE(trace.used_indexes.empty());
+  trace.Reset();
+
+  const QueryTrace fresh;
+  EXPECT_EQ(trace.active, fresh.active);
+  EXPECT_EQ(trace.session_id, fresh.session_id);
+  EXPECT_EQ(trace.wall_start_micros, fresh.wall_start_micros);
+  EXPECT_EQ(trace.mono_start_nanos, fresh.mono_start_nanos);
+  EXPECT_EQ(trace.hash, fresh.hash);
+  EXPECT_EQ(trace.monitor_nanos, fresh.monitor_nanos);
+  EXPECT_EQ(trace.estimated_cpu, fresh.estimated_cpu);
+  EXPECT_EQ(trace.actual_cost, fresh.actual_cost);
+  EXPECT_EQ(trace.rows_output, fresh.rows_output);
+  EXPECT_EQ(trace.last_mark_nanos, fresh.last_mark_nanos);
+  for (const StageSpan& span : trace.stages) EXPECT_EQ(span.start_nanos, 0);
+  EXPECT_TRUE(trace.text.empty());
+  EXPECT_TRUE(trace.ref_tables.empty());
+  EXPECT_TRUE(trace.ref_attributes.empty());
+  EXPECT_TRUE(trace.ref_indexes.empty());
+  EXPECT_TRUE(trace.used_indexes.empty());
+  // The buffers survive for the next statement.
+  EXPECT_EQ(trace.text.capacity(), text_capacity);
+  EXPECT_GE(trace.ref_tables.capacity(), 1u);
+  EXPECT_GE(trace.ref_attributes.capacity(), 1u);
+  EXPECT_GE(trace.ref_indexes.capacity(), 1u);
+  EXPECT_GE(trace.used_indexes.capacity(), 1u);
+}
+
 TEST(MonitorTest, StatementFrequencyAccumulates) {
   Monitor m(SmallConfig(), RealClock::Instance());
   RunStatement(&m, "SELECT a");
