@@ -198,9 +198,7 @@ PlanCacheStats Database::plan_cache_stats() const {
 }
 
 Result<QueryResult> Database::Dispatch(sql::Statement* stmt, Session* session,
-                                       monitor::QueryTrace* trace,
-                                       const std::string& sql) {
-  (void)sql;
+                                       monitor::QueryTrace* trace) {
   switch (stmt->kind()) {
     case sql::StatementKind::kSelect:
       return ExecSelect(static_cast<sql::SelectStmt*>(stmt), session, trace);
@@ -249,20 +247,14 @@ Status Database::LockTable(Session* session, ObjectId table_id,
     session->txn_active_ = true;
     session->txn_implicit_ = true;
     session->txn_id_ = next_txn_id_.fetch_add(1);
-    session->undo_.clear();
   }
   Status s = locks_.Acquire(session->txn_id_, table_id, mode);
   if (s.IsAborted()) {
-    // Deadlock victim: roll back and release.
-    AbortTransaction(session).ok();
-  }
-  return s;
-}
-
-void Database::EndStatement(Session* session, bool /*autocommit_started*/) {
-  if (session->txn_active_ && session->txn_implicit_) {
+    // Deadlock victim: roll back the whole transaction and release.
+    UndoTo(session, 0).ok();
     ReleaseTxn(session);
   }
+  return s;
 }
 
 void Database::ReleaseTxn(Session* session) {
@@ -272,62 +264,55 @@ void Database::ReleaseTxn(Session* session) {
   session->undo_.clear();
 }
 
-Status Database::AbortTransaction(Session* session) {
-  Status undo_status = ApplyUndo(session);
-  ReleaseTxn(session);
-  return undo_status;
-}
-
-Status Database::ApplyUndo(Session* session) {
+Status Database::UndoTo(Session* session, size_t mark) {
   Status first_error = Status::OK();
-  for (auto it = session->undo_.rbegin(); it != session->undo_.rend(); ++it) {
-    auto table = catalog_.GetTableById(it->table_id);
+  // A deadlock victim's abort may already have emptied the log below the
+  // mark; then there is nothing left to undo.
+  for (; session->undo_.size() > mark; session->undo_.pop_back()) {
+    const Session::UndoEntry& e = session->undo_.back();
+    auto table = catalog_.GetTableById(e.table_id);
     if (!table.ok()) {
       if (first_error.ok()) first_error = table.status();
       continue;
     }
     std::vector<IndexInfo> indexes = TableIndexes(*table);
     Status s;
-    switch (it->op) {
+    switch (e.op) {
       case Session::UndoEntry::Op::kInsert:
-        s = storage_->Delete(*table, indexes, it->locator, it->row);
-        if (s.ok()) BumpRowCount(it->table_id, -1).ok();
+        s = storage_->Delete(*table, indexes, e.locator, e.row);
+        if (s.ok()) BumpRowCount(e.table_id, -1).ok();
         break;
       case Session::UndoEntry::Op::kDelete: {
-        auto loc = storage_->Insert(*table, indexes, it->old_row);
+        auto loc = storage_->Insert(*table, indexes, e.old_row);
         s = loc.status();
-        if (s.ok()) BumpRowCount(it->table_id, 1).ok();
+        if (s.ok()) BumpRowCount(e.table_id, 1).ok();
         break;
       }
-      case Session::UndoEntry::Op::kUpdate: {
-        auto loc =
-            storage_->Update(*table, indexes, it->locator, it->row,
-                             it->old_row);
-        s = loc.status();
+      case Session::UndoEntry::Op::kUpdate:
+        s = storage_->Update(*table, indexes, e.locator, e.row, e.old_row)
+                .status();
         break;
-      }
     }
     if (!s.ok() && first_error.ok()) first_error = s;
   }
-  session->undo_.clear();
   return first_error;
 }
 
 Result<QueryResult> Database::ExecBegin(Session* session) {
-  if (session->txn_active_ && !session->txn_implicit_) {
+  if (session->txn_active_) {
     return Status::InvalidArgument("transaction already in progress");
   }
   session->txn_active_ = true;
-  session->txn_implicit_ = false;
   session->txn_id_ = next_txn_id_.fetch_add(1);
-  session->undo_.clear();
   QueryResult out;
   out.message = "BEGIN";
   return out;
 }
 
 Result<QueryResult> Database::ExecCommit(Session* session) {
-  if (!session->txn_active_) {
+  // An implicit transaction belongs to the statement that opened it, even
+  // when this COMMIT runs nested inside that statement.
+  if (!session->txn_active_ || session->txn_implicit_) {
     return Status::InvalidArgument("no transaction in progress");
   }
   ReleaseTxn(session);
@@ -337,10 +322,12 @@ Result<QueryResult> Database::ExecCommit(Session* session) {
 }
 
 Result<QueryResult> Database::ExecRollback(Session* session) {
-  if (!session->txn_active_) {
+  if (!session->txn_active_ || session->txn_implicit_) {
     return Status::InvalidArgument("no transaction in progress");
   }
-  IMON_RETURN_IF_ERROR(AbortTransaction(session));
+  Status undo = UndoTo(session, 0);
+  ReleaseTxn(session);
+  IMON_RETURN_IF_ERROR(undo);
   QueryResult out;
   out.message = "ROLLBACK";
   return out;
@@ -406,7 +393,6 @@ Result<QueryResult> Database::RunPlannedSelect(
   auto rs = exec::ExecuteSelect(bound, plan, &ctx);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
   IMON_RETURN_IF_ERROR(rs.status());
 
   double actual = ActualCost(exec_io, ctx.stats.rows_examined);
@@ -611,15 +597,9 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
     FireTriggers(table, *row).ok();
   }
   BumpRowCount(table.id, inserted).ok();
-  if (!failure.ok()) {
-    if (session->txn_implicit_) {
-      AbortTransaction(session).ok();
-    }
-    return failure;
-  }
+  IMON_RETURN_IF_ERROR(failure);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
   monitor_->OnExecuteComplete(trace, exec_nanos, exec_io,
                               ActualCost(exec_io, inserted), inserted,
                               inserted);
@@ -678,65 +658,42 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
 
   int64_t exec_start = MonotonicNanos();
   int64_t io_before = DiskIoTotal(disk_->stats());
-  auto targets = CollectTargets(*scan, bound.table);
-  if (!targets.ok()) {
-    EndStatement(session, true);
-    return targets.status();
-  }
+  IMON_ASSIGN_OR_RETURN(auto targets, CollectTargets(*scan, bound.table));
 
   const TableInfo& table = bound.table.info;
   std::vector<IndexInfo> indexes = TableIndexes(table);
   OutputLayout layout = OutputLayout::ForTable(
       0, 1, static_cast<int>(table.columns.size()));
-  Status failure = Status::OK();
   int64_t updated = 0;
-  for (auto& [loc, old_row] : *targets) {
+  for (auto& [loc, old_row] : targets) {
     Row new_row = old_row;
     for (const auto& [col, expr] : stmt->assignments) {
       int ord = *table.FindColumn(col);
-      auto v = exec::Eval(*expr, layout, old_row);
-      if (!v.ok()) {
-        failure = v.status();
-        break;
-      }
-      Value value = *v;
+      IMON_ASSIGN_OR_RETURN(Value value, exec::Eval(*expr, layout, old_row));
       if (!value.is_null()) {
-        auto cast = value.CastTo(table.columns[ord].type);
-        if (!cast.ok()) {
-          failure = cast.status();
-          break;
-        }
-        value = *cast;
+        IMON_ASSIGN_OR_RETURN(value, value.CastTo(table.columns[ord].type));
       }
       new_row[ord] = std::move(value);
     }
-    if (!failure.ok()) break;
-    auto new_loc = storage_->Update(table, indexes, loc, old_row, new_row);
-    if (!new_loc.ok()) {
-      failure = new_loc.status();
-      break;
-    }
+    IMON_ASSIGN_OR_RETURN(Locator new_loc,
+                          storage_->Update(table, indexes, loc, old_row,
+                                           new_row));
     Session::UndoEntry undo;
     undo.op = Session::UndoEntry::Op::kUpdate;
     undo.table_id = table.id;
-    undo.locator = *new_loc;
+    undo.locator = new_loc;
     undo.row = new_row;
     undo.old_locator = loc;
     undo.old_row = old_row;
     session->undo_.push_back(std::move(undo));
     ++updated;
   }
-  if (!failure.ok()) {
-    if (session->txn_implicit_) AbortTransaction(session).ok();
-    return failure;
-  }
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
   monitor_->OnExecuteComplete(
       trace, exec_nanos, exec_io,
-      ActualCost(exec_io, static_cast<int64_t>(targets->size())),
-      static_cast<int64_t>(targets->size()), updated);
+      ActualCost(exec_io, static_cast<int64_t>(targets.size())),
+      static_cast<int64_t>(targets.size()), updated);
 
   QueryResult out;
   out.affected_rows = updated;
@@ -768,17 +725,13 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
 
   int64_t exec_start = MonotonicNanos();
   int64_t io_before = DiskIoTotal(disk_->stats());
-  auto targets = CollectTargets(*scan, bound.table);
-  if (!targets.ok()) {
-    EndStatement(session, true);
-    return targets.status();
-  }
+  IMON_ASSIGN_OR_RETURN(auto targets, CollectTargets(*scan, bound.table));
 
   const TableInfo& table = bound.table.info;
   std::vector<IndexInfo> indexes = TableIndexes(table);
   Status failure = Status::OK();
   int64_t deleted = 0;
-  for (auto& [loc, row] : *targets) {
+  for (auto& [loc, row] : targets) {
     Status s = storage_->Delete(table, indexes, loc, row);
     if (!s.ok()) {
       failure = s;
@@ -793,17 +746,13 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
     ++deleted;
   }
   BumpRowCount(table.id, -deleted).ok();
-  if (!failure.ok()) {
-    if (session->txn_implicit_) AbortTransaction(session).ok();
-    return failure;
-  }
+  IMON_RETURN_IF_ERROR(failure);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
-  EndStatement(session, true);
   monitor_->OnExecuteComplete(
       trace, exec_nanos, exec_io,
-      ActualCost(exec_io, static_cast<int64_t>(targets->size())),
-      static_cast<int64_t>(targets->size()), deleted);
+      ActualCost(exec_io, static_cast<int64_t>(targets.size())),
+      static_cast<int64_t>(targets.size()), deleted);
 
   QueryResult out;
   out.affected_rows = deleted;
@@ -920,11 +869,9 @@ Result<QueryResult> Database::ExecCreateIndex(sql::CreateIndexStmt* stmt,
   Status backfill = storage_->CreateIndexStorage(&info, table);
   if (!backfill.ok()) {
     catalog_.DropIndex(info.name).ok();
-    EndStatement(session, true);
     return backfill;
   }
   IMON_RETURN_IF_ERROR(catalog_.UpdateIndex(info));
-  EndStatement(session, true);
   QueryResult out;
   out.message = "CREATE INDEX " + info.name;
   return out;
@@ -960,16 +907,11 @@ Result<QueryResult> Database::ExecModify(sql::ModifyStmt* stmt,
       break;
   }
   std::vector<IndexInfo> indexes = TableIndexes(table);
-  Status s = storage_->ModifyStructure(&table, &indexes, target);
-  if (!s.ok()) {
-    EndStatement(session, true);
-    return s;
-  }
+  IMON_RETURN_IF_ERROR(storage_->ModifyStructure(&table, &indexes, target));
   IMON_RETURN_IF_ERROR(catalog_.UpdateTable(table));
   for (const IndexInfo& idx : indexes) {
     IMON_RETURN_IF_ERROR(catalog_.UpdateIndex(idx));
   }
-  EndStatement(session, true);
   QueryResult out;
   out.message = std::string("MODIFY TO ") +
                 catalog::StorageStructureName(target);
@@ -994,17 +936,13 @@ Result<QueryResult> Database::ExecAnalyze(sql::AnalyzeStmt* stmt,
   IMON_RETURN_IF_ERROR(LockTable(session, table.id, txn::LockMode::kShared));
 
   std::vector<std::vector<Value>> samples(ordinals.size());
-  Status scan = storage_->ScanPath(
+  IMON_RETURN_IF_ERROR(storage_->ScanPath(
       table, optimizer::AccessPath{}, [&](const Locator&, const Row& row) {
         for (size_t i = 0; i < ordinals.size(); ++i) {
           samples[i].push_back(row[ordinals[i]]);
         }
         return true;
-      });
-  if (!scan.ok()) {
-    EndStatement(session, true);
-    return scan;
-  }
+      }));
   int64_t now = clock_->NowMicros();
   for (size_t i = 0; i < ordinals.size(); ++i) {
     catalog::ColumnStats stats;
@@ -1023,7 +961,6 @@ Result<QueryResult> Database::ExecAnalyze(sql::AnalyzeStmt* stmt,
       catalog_.UpdateIndex(idx).ok();
     }
   }
-  EndStatement(session, true);
   QueryResult out;
   out.message = "ANALYZE " + table.name + " (" +
                 std::to_string(ordinals.size()) + " columns)";

@@ -139,8 +139,8 @@ class Database;
 class StatementPipeline;
 
 /// One client connection. Statements run in autocommit unless BEGIN was
-/// issued; locks are held to transaction end; ROLLBACK undoes this
-/// transaction's row changes.
+/// issued; locks are held to transaction end; a failed statement undoes
+/// its own row changes, and ROLLBACK undoes the transaction's.
 class Session {
  public:
   int64_t id() const { return id_; }
@@ -178,7 +178,8 @@ class Session {
   int64_t txn_id_ = 0;
   bool internal_ = false;
   bool txn_active_ = false;
-  /// True when the transaction was started implicitly for one statement.
+  /// True when the transaction was started implicitly for one statement;
+  /// the StatementPipeline that opened it ends it.
   bool txn_implicit_ = false;
   std::vector<UndoEntry> undo_;
   /// One trace per nesting level, kept across statements.
@@ -312,8 +313,7 @@ class Database {
 
   // -- statement dispatch ---------------------------------------------------
   Result<QueryResult> Dispatch(sql::Statement* stmt, Session* session,
-                               monitor::QueryTrace* trace,
-                               const std::string& sql);
+                               monitor::QueryTrace* trace);
   Result<QueryResult> ExecSelect(sql::SelectStmt* stmt, Session* session,
                                  monitor::QueryTrace* trace);
   Result<QueryResult> ExecExplain(sql::ExplainStmt* stmt, Session* session);
@@ -338,16 +338,16 @@ class Database {
 
   // -- helpers ---------------------------------------------------------------
   /// Acquire a table lock for the session's transaction; starts an
-  /// implicit txn in autocommit mode.
+  /// implicit txn in autocommit mode (the statement scope ends it).
   Status LockTable(Session* session, catalog::ObjectId table_id,
                    txn::LockMode mode);
-  /// End the statement: in autocommit, commit the implicit txn.
-  void EndStatement(Session* session, bool autocommit_started);
-  Status AbortTransaction(Session* session);
+  /// Release the transaction's locks and forget its undo log.
   void ReleaseTxn(Session* session);
 
-  /// Apply the undo log in reverse (rollback / deadlock abort).
-  Status ApplyUndo(Session* session);
+  /// Apply the undo log in reverse down to `mark` entries (0 for rollback
+  /// and deadlock abort, the statement's mark for a failed statement). A
+  /// mark above the log's size undoes nothing.
+  Status UndoTo(Session* session, size_t mark);
 
   /// Matching (locator, row) pairs for a single-table plan (DML targets).
   Result<std::vector<std::pair<exec::Locator, Row>>> CollectTargets(

@@ -12,11 +12,19 @@
 namespace imon::engine {
 
 StatementPipeline::StatementPipeline(Database* db, Session* session)
-    : db_(db), session_(session), trace_(session->AcquireTrace()) {}
+    : db_(db),
+      session_(session),
+      trace_(session->AcquireTrace()),
+      joined_txn_(session->txn_active_),
+      undo_mark_(session->undo_.size()) {}
 
 StatementPipeline::~StatementPipeline() { session_->ReleaseTrace(); }
 
 Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
+  return Finish(Stages(sql));
+}
+
+Result<QueryResult> StatementPipeline::Stages(const std::string& sql) {
   trace_.Reset();
   // Internal sessions (the daemon's IMA polling) bypass the monitor so
   // self-observation does not flood the statement history.
@@ -39,10 +47,9 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
       db_->monitor_->OnOptimizeComplete(&trace_, entry->summary.est_cost_cpu,
                                         entry->summary.est_cost_io,
                                         entry->summary.used_indexes, 0, 0);
-      return Finish(db_->RunPlannedSelect(entry->bound, *entry->plan,
-                                          entry->summary,
-                                          entry->compiled.get(), session_,
-                                          &trace_));
+      return db_->RunPlannedSelect(entry->bound, *entry->plan,
+                                   entry->summary, entry->compiled.get(),
+                                   session_, &trace_);
     }
   }
 
@@ -66,7 +73,7 @@ Result<QueryResult> StatementPipeline::Run(const std::string& sql) {
     return BindPlanAndCache(std::move(stmt), text_hash, fingerprint);
   }
 
-  return Finish(db_->Dispatch(stmt.get(), session_, &trace_, sql));
+  return db_->Dispatch(stmt.get(), session_, &trace_);
 }
 
 Result<QueryResult> StatementPipeline::BindPlanAndCache(
@@ -101,12 +108,14 @@ Result<QueryResult> StatementPipeline::BindPlanAndCache(
   }
   std::shared_ptr<const Database::CachedPlan> shared = entry;
   db_->StorePlanCache(text_hash, shared);
-  return Finish(db_->RunPlannedSelect(shared->bound, *shared->plan,
-                                      shared->summary, shared->compiled.get(),
-                                      session_, &trace_));
+  return db_->RunPlannedSelect(shared->bound, *shared->plan,
+                               shared->summary, shared->compiled.get(),
+                               session_, &trace_);
 }
 
 Result<QueryResult> StatementPipeline::Finish(Result<QueryResult> result) {
+  if (!result.ok()) db_->UndoTo(session_, undo_mark_).ok();
+  if (!joined_txn_ && session_->txn_implicit_) db_->ReleaseTxn(session_);
   if (result.ok()) {
     db_->monitor_->Commit(&trace_);
     db_->MaybeSampleStats();

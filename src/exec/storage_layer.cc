@@ -315,9 +315,12 @@ Result<Locator> StorageLayer::Update(const TableInfo& table,
                                      const std::vector<IndexInfo>& indexes,
                                      const Locator& loc, const Row& old_row,
                                      const Row& new_row) {
-  // Implemented as delete + insert; simple and index-consistent.
+  // Implemented as delete + insert; simple and index-consistent. A failed
+  // insert puts the old row back, so either both steps happen or neither.
   IMON_RETURN_IF_ERROR(Delete(table, indexes, loc, old_row));
-  return Insert(table, indexes, new_row);
+  auto new_loc = Insert(table, indexes, new_row);
+  if (!new_loc.ok()) Insert(table, indexes, old_row).ok();
+  return new_loc;
 }
 
 Result<Row> StorageLayer::Fetch(const TableInfo& table, const Locator& loc) {

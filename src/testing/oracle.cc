@@ -205,23 +205,30 @@ std::vector<std::string> DifferentialOracle::Shrink(
     int64_t* statements_executed) {
   std::vector<std::string> current = workload.data;
   int replays_left = options_.max_shrink_replays;
-  bool changed = true;
-  while (changed && replays_left > 0) {
-    changed = false;
-    // Back to front: late mutations usually depend on earlier loads, so
-    // removing from the tail first keeps more candidates viable.
-    for (size_t i = current.size(); i-- > 0 && replays_left > 0;) {
-      std::vector<std::string> candidate;
-      candidate.reserve(current.size() - 1);
-      for (size_t j = 0; j < current.size(); ++j) {
-        if (j != i) candidate.push_back(current[j]);
-      }
+  // ddmin-style: try removing chunks of half the list, then quarters, and
+  // so on down to single statements, which repeat until a pass removes
+  // nothing. Back to front: late mutations usually depend on earlier
+  // loads, so removing from the tail first keeps more candidates viable.
+  size_t chunk = std::max<size_t>(current.size() / 2, 1);
+  while (replays_left > 0) {
+    bool changed = false;
+    for (size_t end = current.size(); end > 0 && replays_left > 0;) {
+      size_t begin = end > chunk ? end - chunk : 0;
+      std::vector<std::string> candidate(current.begin(),
+                                         current.begin() + begin);
+      candidate.insert(candidate.end(), current.begin() + end, current.end());
       replays_left -= 2;
       if (StillDiverges(workload, design, candidate, query_index,
                         statements_executed)) {
         current = std::move(candidate);
         changed = true;
       }
+      end = begin;
+    }
+    if (chunk > 1) {
+      chunk /= 2;
+    } else if (!changed) {
+      break;
     }
   }
   return current;

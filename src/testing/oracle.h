@@ -11,7 +11,7 @@
 // every query's result set against the all-axes-off baseline.
 //
 // On divergence it reports the seed, the design point, the query, both
-// fingerprints — and a greedily shrunken data-statement list that still
+// fingerprints — and a shrunken data-statement list that still
 // reproduces the divergence, so a fuzzer failure arrives as a minimal,
 // replayable repro.
 
@@ -53,7 +53,7 @@ struct Divergence {
   std::string query;
   std::string expected_fingerprint;  ///< baseline
   std::string actual_fingerprint;
-  /// Minimal data-statement list that still reproduces (greedy shrink);
+  /// Minimal data-statement list that still reproduces (ddmin shrink);
   /// equals the full list when shrinking is disabled or exhausted.
   std::vector<std::string> shrunken_data;
   /// Replayable report: seed, design, statements, query, fingerprints.
@@ -103,7 +103,8 @@ class DifferentialOracle {
       const Workload& workload, const PhysicalDesign& design,
       const std::vector<std::string>& data, int64_t* statements_executed);
 
-  /// Greedy delta-shrink of the data list for one divergence.
+  /// ddmin-style shrink of the data list for one divergence: halving
+  /// chunks first, then single statements, within max_shrink_replays.
   std::vector<std::string> Shrink(const Workload& workload,
                                   const PhysicalDesign& design,
                                   int query_index,

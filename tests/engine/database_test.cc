@@ -427,6 +427,85 @@ TEST_F(DatabaseTest, TransactionsCommitAndRollback) {
   EXPECT_EQ(r.rows[0][0].AsInt(), 1);
 }
 
+using IdRowList = std::vector<std::pair<int64_t, int64_t>>;
+
+/// (id, v) rows of table `a`, read on `session`, ordered by id.
+IdRowList IdRows(Database* db, Session* session) {
+  IdRowList out;
+  auto r = db->Execute("SELECT id, v FROM a ORDER BY id", session);
+  EXPECT_TRUE(r.ok()) << r.status();
+  if (!r.ok()) return out;
+  for (const Row& row : r->rows) {
+    out.emplace_back(row[0].AsInt(), row[1].AsInt());
+  }
+  return out;
+}
+
+TEST_F(DatabaseTest, FailedStatementLeavesNoRow) {
+  MustExec("CREATE TABLE a (id INT PRIMARY KEY, v INT)");
+  MustExec("INSERT INTO a VALUES (1, 1), (2, 2)");
+  // Each fails on its second row's duplicate key. The UPDATE moves row 1
+  // to id 5, and row 2 then collides with it.
+  struct Case {
+    const char* sql;
+    bool explicit_txn;
+  };
+  for (const Case& c : {Case{"INSERT INTO a VALUES (3, 3), (1, 9)", false},
+                        Case{"INSERT INTO a VALUES (3, 3), (1, 9)", true},
+                        Case{"UPDATE a SET id = 5 WHERE id >= 1", false},
+                        Case{"UPDATE a SET id = 5 WHERE id >= 1", true}}) {
+    SCOPED_TRACE(std::string(c.sql) +
+                 (c.explicit_txn ? " inside BEGIN" : " in autocommit"));
+    auto session = db_.CreateSession();
+    IdRowList expected{{1, 1}, {2, 2}};
+    if (c.explicit_txn) {
+      ASSERT_TRUE(db_.Execute("BEGIN", session.get()).ok());
+      ASSERT_TRUE(db_.Execute("INSERT INTO a VALUES (10, 10)", session.get())
+                      .ok());
+      expected.emplace_back(10, 10);
+    }
+    auto r = db_.Execute(c.sql, session.get());
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kAlreadyExists) << r.status();
+    if (c.explicit_txn) {
+      // Only the failed statement is undone; the transaction goes on.
+      ASSERT_TRUE(db_.Execute("INSERT INTO a VALUES (11, 11)", session.get())
+                      .ok());
+      expected.emplace_back(11, 11);
+      ASSERT_TRUE(db_.Execute("COMMIT", session.get()).ok());
+    }
+    EXPECT_EQ(IdRows(&db_, session.get()), expected);
+    MustExec("DELETE FROM a WHERE id >= 10");
+  }
+}
+
+TEST(StatementScopeTest, FailedJoinReleasesItsLocks) {
+  DatabaseOptions options;
+  options.lock_timeout = std::chrono::milliseconds(50);
+  Database db(options);
+  ASSERT_TRUE(db.Execute("CREATE TABLE a (id INT PRIMARY KEY, v INT)").ok());
+  ASSERT_TRUE(db.Execute("CREATE TABLE b (id INT PRIMARY KEY, v INT)").ok());
+  auto writer = db.CreateSession();
+  auto reader = db.CreateSession();
+  auto third = db.CreateSession();
+  ASSERT_TRUE(db.Execute("BEGIN", writer.get()).ok());
+  ASSERT_TRUE(db.Execute("INSERT INTO b VALUES (1, 1)", writer.get()).ok());
+  const int64_t writer_locks = db.lock_manager()->stats().locks_held;
+  ASSERT_GE(writer_locks, 1);
+
+  // The join takes a's shared lock, then times out on b.
+  auto r = db.Execute("SELECT a.v, b.v FROM a, b WHERE a.id = b.id",
+                      reader.get());
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(r.status().IsBusy()) << r.status();
+  EXPECT_EQ(db.lock_manager()->stats().locks_held, writer_locks);
+  EXPECT_FALSE(reader->in_transaction());
+  auto w = db.Execute("INSERT INTO a VALUES (1, 1)", third.get());
+  EXPECT_TRUE(w.ok()) << w.status();
+  ASSERT_TRUE(db.Execute("ROLLBACK", writer.get()).ok());
+  EXPECT_EQ(db.lock_manager()->stats().locks_held, 0);
+}
+
 TEST_F(DatabaseTest, DeadlockDetected) {
   MustExec("CREATE TABLE x (v INT)");
   MustExec("CREATE TABLE y (v INT)");
@@ -534,6 +613,39 @@ TEST_F(DatabaseTest, StatementNestedInAlertHandlerCommitsBothTraces) {
   EXPECT_EQ(spans[outer_hash], monitor::kNumStages - 1);
   EXPECT_EQ(spans[inner_hash], monitor::kNumStages);
 #endif
+}
+
+TEST_F(DatabaseTest, StatementNestedInAlertHandlerJoinsOuterTransaction) {
+  MustExec("CREATE TABLE metrics (sessions INT)");
+  MustExec("CREATE TABLE audit (v INT PRIMARY KEY)");
+  MustExec("INSERT INTO audit VALUES (1)");
+  MustExec("CREATE TRIGGER too_many AFTER INSERT ON metrics "
+           "WHEN sessions >= 100 RAISE 'session limit reached'");
+  auto session = db_.CreateSession();
+  int64_t locks_after_nested = -1;
+  Status failed_nested;
+  db_.SetAlertHandler([&](const AlertEvent&) {
+    auto r = db_.Execute("SELECT v FROM audit WHERE v = 7", session.get());
+    EXPECT_TRUE(r.ok()) << r.status();
+    // The outer INSERT's exclusive lock outlives the nested statement.
+    locks_after_nested = db_.lock_manager()->stats().locks_held;
+    // Fails on its second row: only its own first row is undone.
+    failed_nested =
+        db_.Execute("INSERT INTO audit VALUES (2), (1)", session.get())
+            .status();
+  });
+  // The trigger fires on the second row, after the first is in.
+  ASSERT_TRUE(
+      db_.Execute("INSERT INTO metrics VALUES (5), (120)", session.get())
+          .ok());
+  db_.SetAlertHandler(nullptr);
+  EXPECT_GE(locks_after_nested, 1);
+  EXPECT_EQ(failed_nested.code(), StatusCode::kAlreadyExists)
+      << failed_nested;
+  EXPECT_EQ(MustExec("SELECT count(*) FROM metrics").rows[0][0].AsInt(), 2);
+  EXPECT_EQ(MustExec("SELECT count(*) FROM audit").rows[0][0].AsInt(), 1);
+  EXPECT_FALSE(session->in_transaction());
+  EXPECT_EQ(db_.lock_manager()->stats().locks_held, 0);
 }
 
 TEST_F(DatabaseTest, AlertHandlerSwapWhileTriggersFire) {

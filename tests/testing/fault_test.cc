@@ -149,6 +149,8 @@ TEST_F(DiskFaultTest, ReadFaultsSurfaceAsStatusAndRecover) {
       ++failed;
       EXPECT_NE(r.status().ToString().find("injected"), std::string::npos)
           << r.status();
+      // A failed autocommit statement leaves no lock behind.
+      EXPECT_EQ(db.lock_manager()->stats().locks_held, 0);
     }
   }
   EXPECT_GT(injector.counters().reads_seen, 0)
@@ -189,9 +191,11 @@ TEST_F(DiskFaultTest, WriteFaultsNeverLoseCommittedData) {
       ++committed;
     } else {
       ++failed_statements;
+      EXPECT_EQ(db.lock_manager()->stats().locks_held, 0);
     }
     if (i % 5 == 4 && !db.Execute("SELECT count(*) FROM t").ok()) {
       ++failed_statements;
+      EXPECT_EQ(db.lock_manager()->stats().locks_held, 0);
     }
   }
   injector.Disarm();
