@@ -1,7 +1,7 @@
-// Vectorized-executor microbenchmark: scalar tuple-at-a-time expression
-// trees versus compiled ExprPrograms over 1024-row batches, on a
-// 100k-row scan + filter + aggregate. Emits BENCH_exec.json; tier1.sh
-// gates on it against the committed baseline (>15% regression fails).
+// Vectorized-executor microbenchmark: compiled ExprPrograms over 1024-
+// and 64-row batches on a 100k-row scan + filter + aggregate. Emits
+// BENCH_exec.json; tier1.sh gates batched_rows_per_sec against the
+// committed baseline (>15% regression fails).
 
 #include <algorithm>
 #include <cstdio>
@@ -18,9 +18,8 @@ namespace {
 constexpr int kRowsBase = 100000;
 constexpr int kRepeats = 5;
 
-engine::DatabaseOptions Opts(bool compiled, size_t batch_size) {
+engine::DatabaseOptions Opts(size_t batch_size) {
   engine::DatabaseOptions o;
-  o.use_compiled_exprs = compiled;
   o.exec_batch_size = batch_size;
   o.buffer_pool_pages = 16384;
   return o;
@@ -41,10 +40,9 @@ void Populate(engine::Database* db, int rows) {
   }
 }
 
-// Filter + aggregate with real expression weight: the compiled path's
-// advantage is per-operator (no tree-walk, no per-node allocation), so
-// the benchmark exercises multi-operator predicates and arithmetic
-// aggregate arguments, not bare column references.
+// Filter + aggregate with real expression weight: multi-operator
+// predicates and arithmetic aggregate arguments, not bare column
+// references, so the per-operator cost of the programs shows.
 const char* const kQuery =
     "SELECT count(*), sum(v * 2 + 1), avg(w * 0.5 + v), min(w - v), "
     "max(v * v) FROM m "
@@ -67,39 +65,28 @@ double BestTime(engine::Database* db) {
 int Main() {
   const int rows = static_cast<int>(Scaled(kRowsBase));
   PrintHeader("micro_exec_batch",
-              "vectorized batches + compiled expressions vs scalar path");
+              "vectorized batches + compiled expressions");
 
-  engine::Database scalar{Opts(false, 1024)};
-  Populate(&scalar, rows);
-  double scalar_secs = BestTime(&scalar);
-
-  engine::Database batched{Opts(true, 1024)};
+  engine::Database batched{Opts(1024)};
   Populate(&batched, rows);
   double batched_secs = BestTime(&batched);
 
-  engine::Database small{Opts(true, 64)};
+  engine::Database small{Opts(64)};
   Populate(&small, rows);
   double small_secs = BestTime(&small);
 
-  double scalar_rps = rows / scalar_secs;
   double batched_rps = rows / batched_secs;
-  double speedup = scalar_secs / batched_secs;
 
   std::printf("%-28s %12s %14s\n", "configuration", "secs", "rows/s");
-  std::printf("%-28s %12.4f %14.0f\n", "scalar tuple-at-a-time",
-              scalar_secs, scalar_rps);
   std::printf("%-28s %12.4f %14.0f\n", "compiled, batch 1024",
               batched_secs, batched_rps);
   std::printf("%-28s %12.4f %14.0f\n", "compiled, batch 64", small_secs,
               rows / small_secs);
-  std::printf("speedup (batch 1024 vs scalar): %.2fx\n", speedup);
 
   JsonWriter json("exec");
   json.Metric("rows", rows, "rows");
-  json.Metric("scalar_rows_per_sec", scalar_rps, "rows/s");
   json.Metric("batched_rows_per_sec", batched_rps, "rows/s");
   json.Metric("batch64_rows_per_sec", rows / small_secs, "rows/s");
-  json.Metric("speedup_vs_scalar", speedup, "x");
   json.Write();
   return 0;
 }

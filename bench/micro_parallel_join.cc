@@ -28,7 +28,6 @@ constexpr int kRepeats = 3;
 engine::DatabaseOptions Opts(size_t workers) {
   engine::DatabaseOptions o;
   o.exec_workers = workers;
-  o.use_compiled_exprs = true;
   o.buffer_pool_pages = 8192;
   return o;
 }

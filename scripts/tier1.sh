@@ -121,32 +121,25 @@ if [[ "$fig4_gate_ok" != 1 ]]; then
 fi
 
 echo "== tier-1: executor throughput gate =="
-# The vectorized-executor benchmark emits BENCH_exec.json; both the
-# batched throughput and the speedup over the scalar path must stay
-# within IMON_EXEC_GATE_PCT (default 15) percent of the committed
-# baseline. Same retry-keeping-best discipline as the overhead gate.
+# The vectorized-executor benchmark emits BENCH_exec.json; its batched
+# throughput must stay within IMON_EXEC_GATE_PCT (default 15) percent of
+# the committed baseline. Same retry-keeping-best discipline as the
+# overhead gate.
 exec_gate_pct="${IMON_EXEC_GATE_PCT:-15}"
 exec_gate_ok=0
 best_rps=""
-best_speedup=""
 for attempt in 1 2 3; do
   (cd build && ./bench/micro_exec_batch >/dev/null)
   rps=$(json_value build/BENCH_exec.json batched_rows_per_sec)
-  speedup=$(json_value build/BENCH_exec.json speedup_vs_scalar)
-  if [[ -z "$rps" || -z "$speedup" ]]; then
+  if [[ -z "$rps" ]]; then
     echo "tier-1: FAILED to read executor benchmark output" >&2
     exit 1
   fi
   best_rps=$(awk -v a="${best_rps:-0}" -v b="$rps" 'BEGIN { print (b > a) ? b : a }')
-  best_speedup=$(awk -v a="${best_speedup:-0}" -v b="$speedup" 'BEGIN { print (b > a) ? b : a }')
   base_rps=$(json_value bench/BENCH_exec.baseline.json batched_rows_per_sec)
-  base_speedup=$(json_value bench/BENCH_exec.baseline.json speedup_vs_scalar)
   rps_pct=$(awk -v b="$base_rps" -v m="$best_rps" 'BEGIN { printf "%.2f", (b - m) / b * 100 }')
-  spd_pct=$(awk -v b="$base_speedup" -v m="$best_speedup" 'BEGIN { printf "%.2f", (b - m) / b * 100 }')
-  echo "  attempt $attempt: batched ${best_rps} rows/s (regression ${rps_pct}%)," \
-       "speedup ${best_speedup}x (regression ${spd_pct}%)"
-  if awk -v r="$rps_pct" -v s="$spd_pct" -v g="$exec_gate_pct" \
-       'BEGIN { exit !(r <= g && s <= g) }'; then
+  echo "  attempt $attempt: batched ${best_rps} rows/s (regression ${rps_pct}%)"
+  if awk -v r="$rps_pct" -v g="$exec_gate_pct" 'BEGIN { exit !(r <= g) }'; then
     exec_gate_ok=1
     break
   fi

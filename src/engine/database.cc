@@ -5,8 +5,6 @@
 
 #include "catalog/histogram.h"
 #include "engine/statement_pipeline.h"
-#include "exec/expr_program.h"
-#include "exec/expression_eval.h"
 #include "exec/worker_pool.h"
 
 namespace imon::engine {
@@ -337,43 +335,48 @@ Result<QueryResult> Database::ExecRollback(Session* session) {
 // SELECT / EXPLAIN / what-if
 // ---------------------------------------------------------------------------
 
-Result<QueryResult> Database::ExecSelect(sql::SelectStmt* stmt,
-                                         Session* session,
-                                         monitor::QueryTrace* trace) {
+PlannerOptions Database::planner_options() const {
+  return PlannerOptions{options_.cost_model, {}, options_.exec_workers,
+                        options_.exec_morsel_pages};
+}
+
+Status Database::PlanSelect(sql::SelectStmt* stmt, monitor::QueryTrace* trace,
+                            CachedPlan* out) {
+  out->catalog_version = catalog_.version();
   Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(stmt));
-  RecordBind(trace, bound.references);
+  IMON_ASSIGN_OR_RETURN(out->bound, binder.BindSelect(stmt));
+  RecordBind(trace, out->bound.references);
 
   // Optimize (timed, I/O-accounted).
   int64_t opt_start = MonotonicNanos();
   int64_t opt_io_before = DiskIoTotal(disk_->stats());
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
-  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        planner.PlanJoinTree(bound));
-  PlanSummary summary = planner.Summarize(*plan, bound);
+  Planner planner(&catalog_, planner_options());
+  IMON_ASSIGN_OR_RETURN(out->plan, planner.PlanJoinTree(out->bound));
+  out->summary = planner.Summarize(*out->plan, out->bound);
   int64_t opt_nanos = MonotonicNanos() - opt_start;
   int64_t opt_io = DiskIoTotal(disk_->stats()) - opt_io_before;
-  monitor_->OnOptimizeComplete(trace, summary.est_cost_cpu,
-                               summary.est_cost_io, summary.used_indexes,
-                               opt_nanos, opt_io);
+  monitor_->OnOptimizeComplete(trace, out->summary.est_cost_cpu,
+                               out->summary.est_cost_io,
+                               out->summary.used_indexes, opt_nanos, opt_io);
 
-  // Compile expressions into flat programs; a statement that uses a
-  // non-compilable construct silently falls back to the scalar
-  // tree-walking evaluator.
-  std::shared_ptr<const exec::CompiledSelect> compiled;
-  if (options_.use_compiled_exprs) {
-    auto cr = exec::CompiledSelect::Compile(bound, *plan);
-    if (cr.ok()) compiled = std::move(*cr);
-  }
-  return RunPlannedSelect(bound, *plan, summary, compiled.get(), session,
-                          trace);
+  IMON_ASSIGN_OR_RETURN(out->compiled,
+                        exec::CompiledSelect::Compile(out->bound, *out->plan));
+  return Status::OK();
 }
 
-Result<QueryResult> Database::RunPlannedSelect(
-    const BoundSelect& bound, const PlanNode& plan,
-    const PlanSummary& summary, const exec::CompiledSelect* compiled,
-    Session* session, monitor::QueryTrace* trace) {
+Result<QueryResult> Database::ExecSelect(sql::SelectStmt* stmt,
+                                         Session* session,
+                                         monitor::QueryTrace* trace) {
+  CachedPlan planned;
+  IMON_RETURN_IF_ERROR(PlanSelect(stmt, trace, &planned));
+  return RunPlannedSelect(planned, session, trace);
+}
+
+Result<QueryResult> Database::RunPlannedSelect(const CachedPlan& planned,
+                                               Session* session,
+                                               monitor::QueryTrace* trace) {
+  const BoundSelect& bound = planned.bound;
+  const PlanSummary& summary = planned.summary;
   // Lock referenced base tables (shared).
   for (const BoundTable& bt : bound.tables) {
     if (bt.is_virtual) continue;
@@ -386,11 +389,11 @@ Result<QueryResult> Database::RunPlannedSelect(
   ctx.storage = storage_.get();
   ctx.tables = &bound.tables;
   ctx.batch_size = options_.exec_batch_size;
-  ctx.compiled = compiled;
+  ctx.compiled = planned.compiled.get();
   ctx.workers = workers_.get();
   ctx.morsel_pages = options_.exec_morsel_pages;
   ctx.metrics = &metrics_;
-  auto rs = exec::ExecuteSelect(bound, plan, &ctx);
+  auto rs = exec::ExecuteSelect(bound, *planned.plan, &ctx);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
   IMON_RETURN_IF_ERROR(rs.status());
@@ -420,8 +423,7 @@ Result<QueryResult> Database::ExecExplain(sql::ExplainStmt* stmt,
   auto* select = static_cast<sql::SelectStmt*>(stmt->inner.get());
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
+  Planner planner(&catalog_, planner_options());
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
                         planner.PlanJoinTree(bound));
   PlanSummary summary = planner.Summarize(*plan, bound);
@@ -450,8 +452,8 @@ Result<WhatIfResult> Database::WhatIfPlan(
   auto* select = static_cast<sql::SelectStmt*>(stmt.get());
   Binder binder(&catalog_);
   IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  PlannerOptions options{options_.cost_model, virtual_indexes,
-                         options_.exec_workers, options_.exec_morsel_pages};
+  PlannerOptions options = planner_options();
+  options.virtual_indexes = virtual_indexes;
   Planner planner(&catalog_, options);
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
                         planner.PlanJoinTree(bound));
@@ -471,7 +473,8 @@ Result<WhatIfResult> Database::WhatIfPlan(
 
 Result<Row> Database::BuildInsertRow(const sql::InsertStmt& stmt,
                                      const TableInfo& table,
-                                     const std::vector<sql::ExprPtr>& exprs) {
+                                     const std::vector<sql::ExprPtr>& exprs,
+                                     exec::EvalScratch* scratch) {
   std::vector<int> target_ordinals;
   if (stmt.columns.empty()) {
     if (exprs.size() != table.columns.size()) {
@@ -499,7 +502,10 @@ Result<Row> Database::BuildInsertRow(const sql::InsertStmt& stmt,
   OutputLayout empty;
   Row empty_row;
   for (size_t i = 0; i < exprs.size(); ++i) {
-    IMON_ASSIGN_OR_RETURN(Value v, exec::Eval(*exprs[i], empty, empty_row));
+    IMON_ASSIGN_OR_RETURN(exec::ExprProgram program,
+                          exec::ExprProgram::Compile(*exprs[i], empty));
+    Value v;
+    IMON_RETURN_IF_ERROR(program.Run(empty_row, nullptr, scratch, &v));
     int ord = target_ordinals[i];
     if (!v.is_null()) {
       IMON_ASSIGN_OR_RETURN(v, v.CastTo(table.columns[ord].type));
@@ -543,13 +549,15 @@ Status Database::FireTriggers(const TableInfo& table, const Row& row) {
   {
     std::lock_guard<std::mutex> lock(trigger_mutex_);
     if (alert_handler_ == nullptr) return Status::OK();
-    OutputLayout layout = OutputLayout::ForTable(
-        0, 1, static_cast<int>(table.columns.size()));
+    exec::EvalScratch scratch;
     for (const TriggerDef& trigger : triggers_) {
       if (trigger.table_id != table.id) continue;
-      auto fired = exec::EvalPredicate(*trigger.when, layout, row);
-      if (!fired.ok()) continue;  // trigger errors never fail the insert
-      if (*fired) {
+      bool fired = false;
+      // Trigger errors never fail the insert.
+      if (!trigger.when.RunPredicate(row, nullptr, &scratch, &fired).ok()) {
+        continue;
+      }
+      if (fired) {
         events.push_back(
             AlertEvent{trigger.name, trigger.table_name, trigger.message,
                        row});
@@ -576,8 +584,9 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
   std::vector<IndexInfo> indexes = TableIndexes(table);
   int64_t inserted = 0;
   Status failure = Status::OK();
+  exec::EvalScratch scratch;
   for (const auto& exprs : stmt->rows) {
-    auto row = BuildInsertRow(*stmt, table, exprs);
+    auto row = BuildInsertRow(*stmt, table, exprs, &scratch);
     if (!row.ok()) {
       failure = row.status();
       break;
@@ -614,18 +623,23 @@ Result<QueryResult> Database::ExecInsert(sql::InsertStmt* stmt,
 
 Result<std::vector<std::pair<Locator, Row>>> Database::CollectTargets(
     const PlanNode& scan, const BoundTable& table) {
-  std::vector<std::pair<Locator, Row>> out;
   OutputLayout layout = OutputLayout::ForTable(
       0, 1, static_cast<int>(table.info.columns.size()));
+  std::vector<exec::ExprProgram> filters;
+  for (const sql::Expr* f : scan.filters) {
+    IMON_ASSIGN_OR_RETURN(exec::ExprProgram p,
+                          exec::ExprProgram::Compile(*f, layout));
+    filters.push_back(std::move(p));
+  }
+  std::vector<std::pair<Locator, Row>> out;
+  exec::EvalScratch scratch;
   Status inner = Status::OK();
   auto consider = [&](const Locator& loc, const Row& row) -> bool {
-    for (const sql::Expr* f : scan.filters) {
-      auto ok = exec::EvalPredicate(*f, layout, row);
-      if (!ok.ok()) {
-        inner = ok.status();
-        return false;
-      }
-      if (!*ok) return true;
+    for (const exec::ExprProgram& f : filters) {
+      bool pass = false;
+      inner = f.RunPredicate(row, nullptr, &scratch, &pass);
+      if (!inner.ok()) return false;
+      if (!pass) return true;
     }
     out.emplace_back(loc, row);
     return true;
@@ -645,13 +659,23 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   RecordBind(trace, bound.references);
 
   int64_t opt_start = MonotonicNanos();
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
+  Planner planner(&catalog_, planner_options());
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> scan,
                         planner.PlanSingleTable(bound.table, bound.conjuncts));
   monitor_->OnOptimizeComplete(
       trace, scan->est_cost_cpu, scan->est_cost_io, {},
       MonotonicNanos() - opt_start, 0);
+
+  const TableInfo& table = bound.table.info;
+  OutputLayout layout = OutputLayout::ForTable(
+      0, 1, static_cast<int>(table.columns.size()));
+  // SET expressions, with their column ordinals.
+  std::vector<std::pair<int, exec::ExprProgram>> sets;
+  for (const auto& [col, expr] : stmt->assignments) {
+    IMON_ASSIGN_OR_RETURN(exec::ExprProgram p,
+                          exec::ExprProgram::Compile(*expr, layout));
+    sets.emplace_back(*table.FindColumn(col), std::move(p));
+  }
 
   IMON_RETURN_IF_ERROR(
       LockTable(session, bound.table.info.id, txn::LockMode::kExclusive));
@@ -660,16 +684,14 @@ Result<QueryResult> Database::ExecUpdate(sql::UpdateStmt* stmt,
   int64_t io_before = DiskIoTotal(disk_->stats());
   IMON_ASSIGN_OR_RETURN(auto targets, CollectTargets(*scan, bound.table));
 
-  const TableInfo& table = bound.table.info;
   std::vector<IndexInfo> indexes = TableIndexes(table);
-  OutputLayout layout = OutputLayout::ForTable(
-      0, 1, static_cast<int>(table.columns.size()));
+  exec::EvalScratch scratch;
   int64_t updated = 0;
   for (auto& [loc, old_row] : targets) {
     Row new_row = old_row;
-    for (const auto& [col, expr] : stmt->assignments) {
-      int ord = *table.FindColumn(col);
-      IMON_ASSIGN_OR_RETURN(Value value, exec::Eval(*expr, layout, old_row));
+    for (const auto& [ord, program] : sets) {
+      Value value;
+      IMON_RETURN_IF_ERROR(program.Run(old_row, nullptr, &scratch, &value));
       if (!value.is_null()) {
         IMON_ASSIGN_OR_RETURN(value, value.CastTo(table.columns[ord].type));
       }
@@ -712,8 +734,7 @@ Result<QueryResult> Database::ExecDelete(sql::DeleteStmt* stmt,
   RecordBind(trace, bound.references);
 
   int64_t opt_start = MonotonicNanos();
-  Planner planner(&catalog_, PlannerOptions{options_.cost_model, {}, options_.exec_workers,
-                                     options_.exec_morsel_pages});
+  Planner planner(&catalog_, planner_options());
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> scan,
                         planner.PlanSingleTable(bound.table, bound.conjuncts));
   monitor_->OnOptimizeComplete(
@@ -974,6 +995,11 @@ Result<QueryResult> Database::ExecCreateTrigger(sql::CreateTriggerStmt* stmt) {
   bt.info = table;
   Binder binder(&catalog_);
   IMON_RETURN_IF_ERROR(binder.BindScalar(stmt->when.get(), {bt}));
+  IMON_ASSIGN_OR_RETURN(
+      exec::ExprProgram when,
+      exec::ExprProgram::Compile(
+          *stmt->when, OutputLayout::ForTable(
+                           0, 1, static_cast<int>(table.columns.size()))));
   std::lock_guard<std::mutex> lock(trigger_mutex_);
   for (const TriggerDef& t : triggers_) {
     if (t.name == stmt->name) {
@@ -985,7 +1011,7 @@ Result<QueryResult> Database::ExecCreateTrigger(sql::CreateTriggerStmt* stmt) {
   def.name = stmt->name;
   def.table_id = table.id;
   def.table_name = table.name;
-  def.when = std::move(stmt->when);
+  def.when = std::move(when);
   def.message = stmt->message;
   triggers_.push_back(std::move(def));
   QueryResult out;

@@ -25,6 +25,7 @@
 #include "common/metrics_history.h"
 #include "common/status.h"
 #include "exec/executor.h"
+#include "exec/expr_program.h"
 #include "exec/storage_layer.h"
 #include "monitor/monitor.h"
 #include "optimizer/planner.h"
@@ -62,10 +63,10 @@ struct DatabaseOptions {
   size_t plan_cache_capacity = 0;
   /// Rows gathered per executor batch on the vectorized scan path.
   size_t exec_batch_size = 1024;
-  /// Compile SELECT expressions into flat postfix programs (batched
-  /// filters, slot-indexed aggregates). Disable to force the scalar
-  /// tree-walking path — the differential oracle in tests compares the
-  /// two.
+  /// Unused: the engine reads no such option, every expression runs as
+  /// a compiled ExprProgram. The field remains only because the
+  /// benchmark driver (perfbench/src/bench.cc) assigns and prints every
+  /// option; it goes with the next change to that driver (ROADMAP item 6).
   bool use_compiled_exprs = true;
   /// Executor lanes for morsel-parallel scans (caller + persistent
   /// workers) over every non-virtual access path — heap pages, B-Tree
@@ -272,8 +273,7 @@ class Database {
     std::unique_ptr<optimizer::PlanNode> plan;
     optimizer::PlanSummary summary;
     /// Expression programs compiled once at plan time and replayed on
-    /// every cache hit; null when compilation is disabled or the
-    /// statement uses a non-compilable construct (scalar fallback).
+    /// every cache hit; never null in a planned entry.
     std::shared_ptr<const exec::CompiledSelect> compiled;
     /// Template fingerprint of the statement text, taken from its tokens
     /// when the entry is filled, whatever the session, so a monitored hit
@@ -294,12 +294,21 @@ class Database {
   void RecordBind(monitor::QueryTrace* trace,
                   const optimizer::ReferenceSet& refs);
 
-  /// Lock, execute and monitor a bound+planned SELECT (shared by the
-  /// cached and uncached paths).
-  Result<QueryResult> RunPlannedSelect(const optimizer::BoundSelect& bound,
-                                       const optimizer::PlanNode& plan,
-                                       const optimizer::PlanSummary& summary,
-                                       const exec::CompiledSelect* compiled,
+  /// Planner options from the engine's options (no virtual indexes).
+  optimizer::PlannerOptions planner_options() const;
+
+  /// Bind, plan, summarize and compile a SELECT into `out` (all but its
+  /// `stmt` and `fingerprint`), feeding the bind and optimize sensors.
+  /// The one planning path: the uncached SELECT runs it, and the
+  /// pipeline runs it and then stores `out` in the plan cache. Optimizer
+  /// time and I/O are both measured across planning; a plan-cache hit
+  /// does not plan and reports 0 for both.
+  Status PlanSelect(sql::SelectStmt* stmt, monitor::QueryTrace* trace,
+                    CachedPlan* out);
+
+  /// Lock, execute and monitor a planned SELECT (shared by the cached
+  /// and uncached paths).
+  Result<QueryResult> RunPlannedSelect(const CachedPlan& planned,
                                        Session* session,
                                        monitor::QueryTrace* trace);
 
@@ -307,7 +316,7 @@ class Database {
     std::string name;
     catalog::ObjectId table_id;
     std::string table_name;
-    sql::ExprPtr when;  // bound against the table's row layout
+    exec::ExprProgram when;  // compiled against the table's row layout
     std::string message;
   };
 
@@ -353,11 +362,12 @@ class Database {
   Result<std::vector<std::pair<exec::Locator, Row>>> CollectTargets(
       const optimizer::PlanNode& scan, const optimizer::BoundTable& table);
 
-  /// Evaluate an INSERT literal row into table order, casting to column
-  /// types and checking NOT NULL.
+  /// Compile and evaluate an INSERT VALUES row into table order, casting
+  /// to column types and checking NOT NULL.
   Result<Row> BuildInsertRow(const sql::InsertStmt& stmt,
                              const catalog::TableInfo& table,
-                             const std::vector<sql::ExprPtr>& exprs);
+                             const std::vector<sql::ExprPtr>& exprs,
+                             exec::EvalScratch* scratch);
 
   /// Fire AFTER INSERT triggers for a newly inserted row.
   Status FireTriggers(const catalog::TableInfo& table, const Row& row);

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "engine/database.h"
-#include "exec/expr_program.h"
 #include "sql/normalizer.h"
 #include "sql/parser.h"
 
@@ -47,9 +46,7 @@ Result<QueryResult> StatementPipeline::Stages(const std::string& sql) {
       db_->monitor_->OnOptimizeComplete(&trace_, entry->summary.est_cost_cpu,
                                         entry->summary.est_cost_io,
                                         entry->summary.used_indexes, 0, 0);
-      return db_->RunPlannedSelect(entry->bound, *entry->plan,
-                                   entry->summary, entry->compiled.get(),
-                                   session_, &trace_);
+      return db_->RunPlannedSelect(*entry, session_, &trace_);
     }
   }
 
@@ -70,47 +67,18 @@ Result<QueryResult> StatementPipeline::Stages(const std::string& sql) {
   db_->monitor_->OnParseComplete(&trace_, sql, text_hash, fingerprint);
 
   if (fills_cache) {
-    return BindPlanAndCache(std::move(stmt), text_hash, fingerprint);
+    // Plan (and compile) once, then every hit replays the entry.
+    auto entry = std::make_shared<Database::CachedPlan>();
+    entry->stmt = std::move(stmt);
+    entry->fingerprint = fingerprint;
+    IMON_RETURN_IF_ERROR(db_->PlanSelect(
+        static_cast<sql::SelectStmt*>(entry->stmt.get()), &trace_,
+        entry.get()));
+    db_->StorePlanCache(text_hash, entry);
+    return db_->RunPlannedSelect(*entry, session_, &trace_);
   }
 
   return db_->Dispatch(stmt.get(), session_, &trace_);
-}
-
-Result<QueryResult> StatementPipeline::BindPlanAndCache(
-    sql::StatementPtr parsed, uint64_t text_hash, uint64_t fingerprint) {
-  using optimizer::Planner;
-  using optimizer::PlannerOptions;
-
-  auto entry = std::make_shared<Database::CachedPlan>();
-  entry->catalog_version = db_->catalog_.version();
-  entry->stmt = std::move(parsed);
-  entry->fingerprint = fingerprint;
-  optimizer::Binder binder(&db_->catalog_);
-  IMON_ASSIGN_OR_RETURN(
-      entry->bound,
-      binder.BindSelect(static_cast<sql::SelectStmt*>(entry->stmt.get())));
-  db_->RecordBind(&trace_, entry->bound.references);
-  int64_t opt_start = MonotonicNanos();
-  Planner planner(&db_->catalog_,
-                  PlannerOptions{db_->options_.cost_model, {},
-                                 db_->options_.exec_workers,
-                                 db_->options_.exec_morsel_pages});
-  IMON_ASSIGN_OR_RETURN(entry->plan, planner.PlanJoinTree(entry->bound));
-  entry->summary = planner.Summarize(*entry->plan, entry->bound);
-  db_->monitor_->OnOptimizeComplete(
-      &trace_, entry->summary.est_cost_cpu, entry->summary.est_cost_io,
-      entry->summary.used_indexes, MonotonicNanos() - opt_start, 0);
-  // Compile once here so every plan-cache hit replays the programs
-  // without re-walking the expression trees.
-  if (db_->options_.use_compiled_exprs) {
-    auto cr = exec::CompiledSelect::Compile(entry->bound, *entry->plan);
-    if (cr.ok()) entry->compiled = std::move(*cr);
-  }
-  std::shared_ptr<const Database::CachedPlan> shared = entry;
-  db_->StorePlanCache(text_hash, shared);
-  return db_->RunPlannedSelect(shared->bound, *shared->plan,
-                               shared->summary, shared->compiled.get(),
-                               session_, &trace_);
 }
 
 Result<QueryResult> StatementPipeline::Finish(Result<QueryResult> result) {

@@ -58,12 +58,6 @@ class StatementPipeline {
   /// Parse -> Bind -> Optimize -> Execute, on whichever path applies.
   Result<QueryResult> Stages(const std::string& sql);
 
-  /// Cache-filling SELECT path: bind + plan once, remember under the
-  /// text hash with the template fingerprint, execute.
-  Result<QueryResult> BindPlanAndCache(sql::StatementPtr parsed,
-                                       uint64_t text_hash,
-                                       uint64_t fingerprint);
-
   /// End the statement scope, then publish the trace on success.
   Result<QueryResult> Finish(Result<QueryResult> result);
 

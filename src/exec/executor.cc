@@ -10,36 +10,22 @@
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "exec/expr_program.h"
-#include "exec/expression_eval.h"
 #include "exec/worker_pool.h"
 
 namespace imon::exec {
 
 using optimizer::AccessPathKind;
 using optimizer::BoundSelect;
-using optimizer::OutputLayout;
 using optimizer::PlanNode;
 using optimizer::PlanNodeKind;
 using sql::Expr;
 
 namespace {
 
-/// Apply all `filters` to `row` under `layout`; counts one examined row.
-Result<bool> PassesFilters(const std::vector<const Expr*>& filters,
-                           const OutputLayout& layout, const Row& row,
+/// Apply all filter programs to `row`; counts one examined row.
+Result<bool> PassesFilters(const std::vector<ExprProgram>& programs,
+                           const Row& row, EvalScratch* scratch,
                            ExecContext* ctx) {
-  ++ctx->stats.rows_examined;
-  for (const Expr* f : filters) {
-    IMON_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*f, layout, row));
-    if (!ok) return false;
-  }
-  return true;
-}
-
-/// Compiled-filter variant (same accounting).
-Result<bool> PassesFiltersCompiled(const std::vector<ExprProgram>& programs,
-                                   const Row& row, EvalScratch* scratch,
-                                   ExecContext* ctx) {
   ++ctx->stats.rows_examined;
   for (const ExprProgram& p : programs) {
     bool ok = false;
@@ -49,28 +35,29 @@ Result<bool> PassesFiltersCompiled(const std::vector<ExprProgram>& programs,
   return true;
 }
 
-/// Compiled filter programs for the plan node at pre-order index `idx`,
-/// or null when running uncompiled.
-const std::vector<ExprProgram>* NodePrograms(const ExecContext* ctx,
-                                             size_t idx) {
-  if (ctx->compiled == nullptr) return nullptr;
-  if (idx >= ctx->compiled->node_filters.size()) return nullptr;
-  return &ctx->compiled->node_filters[idx];
+/// Compiled programs of the plan node at pre-order index `idx`.
+const NodePrograms& Programs(const ExecContext* ctx, size_t idx) {
+  return ctx->compiled->nodes[idx];
 }
 
-/// Run the node's filter chain over a full batch, appending the
-/// survivors to `out`. Every gathered row counts as examined, matching
-/// the scalar path's accounting. Survivors are copied out (selective
-/// materialization) so the arena keeps its storage for the next gather.
+/// Run the node's filter chain over a full batch and hand the survivors
+/// to `sink` in order, then reset the batch. The sink copies what it
+/// keeps (selective materialization), so the arena keeps its storage for
+/// the next gather; it returns false to stop, which sets `*stopped`.
 Status FlushBatch(const std::vector<ExprProgram>& filters, RowBatch* batch,
-                  EvalScratch* scratch, std::vector<Row>* out,
-                  ExecContext* ctx) {
-  ctx->stats.rows_examined += static_cast<int64_t>(batch->filled);
+                  EvalScratch* scratch,
+                  const std::function<bool(const Row&)>& sink,
+                  bool* stopped) {
   for (const ExprProgram& f : filters) {
     if (batch->sel.empty()) break;
     IMON_RETURN_IF_ERROR(f.FilterBatch(batch, scratch));
   }
-  for (uint32_t idx : batch->sel) out->push_back(batch->rows[idx]);
+  for (uint32_t idx : batch->sel) {
+    if (!sink(batch->rows[idx])) {
+      *stopped = true;
+      break;
+    }
+  }
   batch->Reset();
   return Status::OK();
 }
@@ -149,14 +136,12 @@ struct LaneScratch {
   EvalScratch eval;
 };
 
-/// Scan morsel `m`, applying the node's filter chain (compiled batch
-/// path or scalar fallback). Survivors reach `sink` in storage order;
-/// the sink returns false to end the morsel early (not an error).
-/// Returns rows examined. Must not touch ctx->stats: workers run this
-/// concurrently.
+/// Scan morsel `m` in batches, applying the node's filter programs.
+/// Survivors reach `sink` in storage order; the sink returns false to end
+/// the morsel early (not an error). Returns rows examined. Must not touch
+/// ctx->stats: workers run this concurrently.
 Result<int64_t> ScanMorselFiltered(const MorselPlan& mp, size_t m,
-                                   const PlanNode& plan,
-                                   const std::vector<ExprProgram>* programs,
+                                   const std::vector<ExprProgram>& filters,
                                    size_t batch_capacity, ExecContext* ctx,
                                    LaneScratch* ls,
                                    const std::function<bool(const Row&)>& sink) {
@@ -164,56 +149,28 @@ Result<int64_t> ScanMorselFiltered(const MorselPlan& mp, size_t m,
   size_t end = std::min(mp.scan.units.size(), begin + mp.morsel_pages);
   int64_t examined = 0;
   Status inner = Status::OK();
-  if (programs != nullptr) {
-    RowBatch& batch = ls->batch;
-    batch.Reset();
-    bool stopped = false;
-    auto flush = [&]() -> Status {
-      examined += static_cast<int64_t>(batch.filled);
-      for (const ExprProgram& f : *programs) {
-        if (batch.sel.empty()) break;
-        IMON_RETURN_IF_ERROR(f.FilterBatch(&batch, &ls->eval));
-      }
-      for (uint32_t idx : batch.sel) {
-        if (!sink(batch.rows[idx])) {
-          stopped = true;
-          break;
+  RowBatch& batch = ls->batch;
+  batch.Reset();
+  bool stopped = false;
+  auto flush = [&]() -> Status {
+    examined += static_cast<int64_t>(batch.filled);
+    return FlushBatch(filters, &batch, &ls->eval, sink, &stopped);
+  };
+  IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
+      mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
+        batch.PushSwap(&row);
+        if (batch.full(batch_capacity)) {
+          Status st = flush();
+          if (!st.ok()) {
+            inner = st;
+            return false;
+          }
+          if (stopped) return false;
         }
-      }
-      batch.Reset();
-      return Status::OK();
-    };
-    IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
-        mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
-          batch.PushSwap(&row);
-          if (batch.full(batch_capacity)) {
-            Status st = flush();
-            if (!st.ok()) {
-              inner = st;
-              return false;
-            }
-            if (stopped) return false;
-          }
-          return true;
-        }));
-    IMON_RETURN_IF_ERROR(inner);
-    if (!stopped && batch.filled > 0) IMON_RETURN_IF_ERROR(flush());
-  } else {
-    IMON_RETURN_IF_ERROR(ctx->storage->ScanUnits(
-        mp.bt->info, mp.scan, begin, end, [&](const Locator&, Row& row) {
-          ++examined;
-          for (const Expr* f : plan.filters) {
-            auto ok = EvalPredicate(*f, plan.layout, row);
-            if (!ok.ok()) {
-              inner = ok.status();
-              return false;
-            }
-            if (!*ok) return true;
-          }
-          return sink(row);
-        }));
-    IMON_RETURN_IF_ERROR(inner);
-  }
+        return true;
+      }));
+  IMON_RETURN_IF_ERROR(inner);
+  if (!stopped && batch.filled > 0) IMON_RETURN_IF_ERROR(flush());
   return examined;
 }
 
@@ -227,25 +184,16 @@ struct TopKSpec {
 /// storage order. Sound because the final ORDER BY is a stable sort with
 /// storage order as tie-break: a row outside its own morsel's stable
 /// top-k has >= k rows globally ahead of it.
-Status PruneMorselTopK(const PlanNode& plan, ExecContext* ctx,
-                       const TopKSpec& spec, EvalScratch* scratch,
-                       std::vector<Row>* rows) {
+Status PruneMorselTopK(const ExecContext* ctx, const TopKSpec& spec,
+                       EvalScratch* scratch, std::vector<Row>* rows) {
   if (rows->size() <= spec.k) return Status::OK();
-  const CompiledSelect* cp = ctx->compiled;
   const auto& order_by = spec.stmt->order_by;
   std::vector<std::vector<Value>> keys(rows->size());
   for (size_t i = 0; i < rows->size(); ++i) {
-    keys[i].reserve(order_by.size());
+    keys[i].resize(order_by.size());
     for (size_t k = 0; k < order_by.size(); ++k) {
-      Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(
-            cp->order_keys[k].Run((*rows)[i], nullptr, scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(
-            v, Eval(*order_by[k].expr, plan.layout, (*rows)[i]));
-      }
-      keys[i].push_back(std::move(v));
+      IMON_RETURN_IF_ERROR(ctx->compiled->order_keys[k].Run(
+          (*rows)[i], nullptr, scratch, &keys[i][k]));
     }
   }
   std::vector<size_t> idx(rows->size());
@@ -270,12 +218,11 @@ Status PruneMorselTopK(const PlanNode& plan, ExecContext* ctx,
 /// `per_morsel_limit` caps survivors per morsel (bare LIMIT pushdown:
 /// only a morsel's first k survivors can reach the global first k);
 /// `topk` prunes each morsel to its ORDER BY top-k instead.
-Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
-                                          ExecContext* ctx, size_t node_idx,
+Result<std::vector<Row>> ParallelScanRows(ExecContext* ctx, size_t node_idx,
                                           const MorselPlan& mp,
                                           size_t per_morsel_limit,
                                           const TopKSpec* topk) {
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
+  const std::vector<ExprProgram>& filters = Programs(ctx, node_idx).filters;
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   std::vector<LaneScratch> lanes(LaneCount(ctx));
   std::vector<std::vector<Row>> rows(mp.count);
@@ -287,7 +234,7 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
     LaneScratch& ls = lanes[lane];
     std::vector<Row>& dst = rows[m];
     auto res = ScanMorselFiltered(
-        mp, m, plan, programs, capacity, ctx, &ls, [&](const Row& r) {
+        mp, m, filters, capacity, ctx, &ls, [&](const Row& r) {
           if (dst.size() >= per_morsel_limit) return false;  // LIMIT 0
           dst.push_back(r);
           return dst.size() < per_morsel_limit;
@@ -299,7 +246,7 @@ Result<std::vector<Row>> ParallelScanRows(const PlanNode& plan,
     }
     examined[m] = *res;
     if (topk != nullptr) {
-      Status st = PruneMorselTopK(plan, ctx, *topk, &ls.eval, &dst);
+      Status st = PruneMorselTopK(ctx, *topk, &ls.eval, &dst);
       if (!st.ok()) {
         errors[m] = st;
         failed.store(true, std::memory_order_relaxed);
@@ -327,7 +274,7 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
   const optimizer::BoundTable& bt = (*ctx->tables)[plan.table_idx];
   if (!bt.is_virtual) {
     IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
-    return ParallelScanRows(plan, ctx, node_idx, mp,
+    return ParallelScanRows(ctx, node_idx, mp,
                             std::numeric_limits<size_t>::max(), nullptr);
   }
 
@@ -353,31 +300,25 @@ Result<std::vector<Row>> ExecuteScan(const PlanNode& plan, ExecContext* ctx,
   }
   std::vector<Row> rows = min_seq >= 0 ? bt.provider->SnapshotSince(min_seq)
                                        : bt.provider->Snapshot();
+  // Vectorized consume: gather into the batch arena by swapping with the
+  // snapshot's rows, which are not needed afterwards. Every gathered row
+  // counts as examined.
+  ctx->stats.rows_examined += static_cast<int64_t>(rows.size());
+  const std::vector<ExprProgram>& filters = Programs(ctx, node_idx).filters;
+  const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   std::vector<Row> out;
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, node_idx);
-  if (programs != nullptr) {
-    // Vectorized consume: gather into the batch arena by swapping with
-    // the snapshot's rows, which are not needed afterwards.
-    const size_t capacity = std::max<size_t>(1, ctx->batch_size);
-    RowBatch batch;
-    EvalScratch scratch;
-    for (Row& row : rows) {
-      batch.PushSwap(&row);
-      if (batch.full(capacity)) {
-        IMON_RETURN_IF_ERROR(
-            FlushBatch(*programs, &batch, &scratch, &out, ctx));
-      }
-    }
-    if (batch.filled > 0) {
+  auto keep = [&](const Row& r) {
+    out.push_back(r);
+    return true;
+  };
+  RowBatch batch;
+  EvalScratch scratch;
+  bool stopped = false;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    batch.PushSwap(&rows[i]);
+    if (batch.full(capacity) || i + 1 == rows.size()) {
       IMON_RETURN_IF_ERROR(
-          FlushBatch(*programs, &batch, &scratch, &out, ctx));
-    }
-  } else {
-    // Scalar fallback: interpret the filter ASTs row by row.
-    for (const Row& row : rows) {
-      IMON_ASSIGN_OR_RETURN(bool pass,
-                            PassesFilters(plan.filters, plan.layout, row, ctx));
-      if (pass) out.push_back(row);
+          FlushBatch(filters, &batch, &scratch, keep, &stopped));
     }
   }
   return out;
@@ -392,18 +333,24 @@ Row ConcatRows(const Row& left, const Row& right) {
 }
 
 /// Evaluate residual + (for NL joins) equi conditions on a combined row.
-Result<bool> JoinConditionsHold(const PlanNode& plan, const Row& combined,
-                                bool check_equi, ExecContext* ctx) {
+Result<bool> JoinConditionsHold(const NodePrograms& np, const Row& combined,
+                                bool check_equi, EvalScratch* scratch,
+                                ExecContext* ctx) {
   ++ctx->stats.rows_examined;
   if (check_equi) {
-    for (const auto& [outer_e, inner_e] : plan.equi_keys) {
-      IMON_ASSIGN_OR_RETURN(Value l, Eval(*outer_e, plan.layout, combined));
-      IMON_ASSIGN_OR_RETURN(Value r, Eval(*inner_e, plan.layout, combined));
+    Value l;
+    Value r;
+    for (size_t k = 0; k < np.outer_keys.size(); ++k) {
+      IMON_RETURN_IF_ERROR(
+          np.outer_keys[k].Run(combined, nullptr, scratch, &l));
+      IMON_RETURN_IF_ERROR(
+          np.inner_keys[k].Run(combined, nullptr, scratch, &r));
       if (l.is_null() || r.is_null() || l.Compare(r) != 0) return false;
     }
   }
-  for (const Expr* c : plan.residual) {
-    IMON_ASSIGN_OR_RETURN(bool ok, EvalPredicate(*c, plan.layout, combined));
+  for (const ExprProgram& c : np.residual) {
+    bool ok = false;
+    IMON_RETURN_IF_ERROR(c.RunPredicate(combined, nullptr, scratch, &ok));
     if (!ok) return false;
   }
   return true;
@@ -429,17 +376,19 @@ constexpr size_t kJoinPartitions = 32;
 constexpr size_t kJoinBuildChunkRows = 1024;
 
 Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
-                                         ExecContext* ctx,
+                                         ExecContext* ctx, size_t node_idx,
                                          size_t* node_counter) {
+  const NodePrograms& np = Programs(ctx, node_idx);
   IMON_ASSIGN_OR_RETURN(std::vector<Row> outer_rows,
                         ExecuteNode(*plan.left, ctx, node_counter));
   IMON_ASSIGN_OR_RETURN(std::vector<Row> inner_rows,
                         ExecuteNode(*plan.right, ctx, node_counter));
 
   // Phase A: per-chunk key evaluation + partition routing. Chunks write
-  // disjoint slices of inner_keys and their own keyed[] slots; Eval over
-  // the const expression tree is thread-safe.
+  // disjoint slices of inner_keys and their own keyed[] slots; programs
+  // are immutable, and each lane evaluates on its own scratch.
   const size_t n = inner_rows.size();
+  const size_t n_keys = np.inner_keys.size();
   const size_t chunks = (n + kJoinBuildChunkRows - 1) / kJoinBuildChunkRows;
   std::vector<Row> inner_keys(n);
   // keyed[c * kJoinPartitions + p]: (hash, idx) pairs chunk c routes to
@@ -447,20 +396,21 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
   std::vector<std::vector<std::pair<uint64_t, size_t>>> keyed(
       chunks * kJoinPartitions);
   std::vector<Status> chunk_errors(chunks, Status::OK());
-  RunTasks(ctx, chunks, [&](size_t c, size_t) {
+  std::vector<EvalScratch> lane_scratch(LaneCount(ctx));
+  RunTasks(ctx, chunks, [&](size_t c, size_t lane) {
     size_t begin = c * kJoinBuildChunkRows;
     size_t end = std::min(n, begin + kJoinBuildChunkRows);
     for (size_t i = begin; i < end; ++i) {
-      Row key;
+      Row key(n_keys);
       bool null_key = false;
-      for (const auto& [outer_e, inner_e] : plan.equi_keys) {
-        auto v = Eval(*inner_e, plan.right->layout, inner_rows[i]);
-        if (!v.ok()) {
-          chunk_errors[c] = v.status();
+      for (size_t k = 0; k < n_keys; ++k) {
+        Status st = np.inner_keys[k].Run(inner_rows[i], nullptr,
+                                         &lane_scratch[lane], &key[k]);
+        if (!st.ok()) {
+          chunk_errors[c] = st;
           return;
         }
-        if (v->is_null()) null_key = true;
-        key.push_back(std::move(*v));
+        if (key[k].is_null()) null_key = true;
       }
       if (null_key) continue;  // NULL never joins
       uint64_t h = HashRow(key);
@@ -493,13 +443,14 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
   // Probe (serial: outer-side parallelism comes from the morsel scan
   // when the probe side is the root pipeline).
   std::vector<Row> out;
+  EvalScratch scratch;
+  Row key(n_keys);
   for (const Row& outer : outer_rows) {
-    Row key;
     bool null_key = false;
-    for (const auto& [outer_e, inner_e] : plan.equi_keys) {
-      IMON_ASSIGN_OR_RETURN(Value v, Eval(*outer_e, plan.left->layout, outer));
-      if (v.is_null()) null_key = true;
-      key.push_back(std::move(v));
+    for (size_t k = 0; k < n_keys; ++k) {
+      IMON_RETURN_IF_ERROR(
+          np.outer_keys[k].Run(outer, nullptr, &scratch, &key[k]));
+      if (key[k].is_null()) null_key = true;
     }
     ++ctx->stats.rows_examined;
     if (null_key) continue;
@@ -518,8 +469,8 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
       }
       if (!match) continue;
       Row combined = ConcatRows(outer, inner_rows[i]);
-      IMON_ASSIGN_OR_RETURN(bool keep,
-                            JoinConditionsHold(plan, combined, false, ctx));
+      IMON_ASSIGN_OR_RETURN(
+          bool keep, JoinConditionsHold(np, combined, false, &scratch, ctx));
       if (keep) out.push_back(std::move(combined));
     }
   }
@@ -527,17 +478,19 @@ Result<std::vector<Row>> ExecuteHashJoin(const PlanNode& plan,
 }
 
 Result<std::vector<Row>> ExecuteNLJoin(const PlanNode& plan, ExecContext* ctx,
-                                       size_t* node_counter) {
+                                       size_t node_idx, size_t* node_counter) {
+  const NodePrograms& np = Programs(ctx, node_idx);
   IMON_ASSIGN_OR_RETURN(std::vector<Row> outer_rows,
                         ExecuteNode(*plan.left, ctx, node_counter));
   IMON_ASSIGN_OR_RETURN(std::vector<Row> inner_rows,
                         ExecuteNode(*plan.right, ctx, node_counter));
   std::vector<Row> out;
+  EvalScratch scratch;
   for (const Row& outer : outer_rows) {
     for (const Row& inner : inner_rows) {
       Row combined = ConcatRows(outer, inner);
-      IMON_ASSIGN_OR_RETURN(bool keep,
-                            JoinConditionsHold(plan, combined, true, ctx));
+      IMON_ASSIGN_OR_RETURN(
+          bool keep, JoinConditionsHold(np, combined, true, &scratch, ctx));
       if (keep) out.push_back(std::move(combined));
     }
   }
@@ -545,16 +498,16 @@ Result<std::vector<Row>> ExecuteNLJoin(const PlanNode& plan, ExecContext* ctx,
 }
 
 Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
-                                            ExecContext* ctx,
+                                            ExecContext* ctx, size_t node_idx,
                                             size_t* node_counter) {
+  const NodePrograms& np = Programs(ctx, node_idx);
   IMON_ASSIGN_OR_RETURN(std::vector<Row> outer_rows,
                         ExecuteNode(*plan.left, ctx, node_counter));
   const PlanNode& inner_scan = *plan.right;
   // The inner scan is probed directly rather than executed as a node,
   // but it still occupies its pre-order slot in the compiled programs.
-  size_t inner_idx = (*node_counter)++;
-  const std::vector<ExprProgram>* inner_programs =
-      NodePrograms(ctx, inner_idx);
+  const std::vector<ExprProgram>& inner_filters =
+      Programs(ctx, (*node_counter)++).filters;
   EvalScratch scratch;
   const optimizer::BoundTable& bt = (*ctx->tables)[inner_scan.table_idx];
   // One access path for the whole join; each probe refills only its
@@ -564,12 +517,12 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
   std::vector<Row> out;
   for (const Row& outer : outer_rows) {
     // Probe key values from the outer row.
-    probe.eq_values.clear();
+    probe.eq_values.resize(np.probe.size());
     bool null_probe = false;
-    for (const Expr* e : plan.probe_exprs) {
-      IMON_ASSIGN_OR_RETURN(Value v, Eval(*e, plan.left->layout, outer));
-      if (v.is_null()) null_probe = true;
-      probe.eq_values.push_back(std::move(v));
+    for (size_t k = 0; k < np.probe.size(); ++k) {
+      IMON_RETURN_IF_ERROR(
+          np.probe[k].Run(outer, nullptr, &scratch, &probe.eq_values[k]));
+      if (probe.eq_values[k].is_null()) null_probe = true;
     }
     if (null_probe) continue;
     if (probe.kind == AccessPathKind::kSecondaryIndex &&
@@ -580,18 +533,14 @@ Result<std::vector<Row>> ExecuteIndexNLJoin(const PlanNode& plan,
 
     Status inner_status = Status::OK();
     auto handle_inner = [&](const Row& inner_row) -> bool {
-      auto pass = inner_programs != nullptr
-                      ? PassesFiltersCompiled(*inner_programs, inner_row,
-                                              &scratch, ctx)
-                      : PassesFilters(inner_scan.filters, inner_scan.layout,
-                                      inner_row, ctx);
+      auto pass = PassesFilters(inner_filters, inner_row, &scratch, ctx);
       if (!pass.ok()) {
         inner_status = pass.status();
         return false;
       }
       if (!*pass) return true;
       Row combined = ConcatRows(outer, inner_row);
-      auto keep = JoinConditionsHold(plan, combined, true, ctx);
+      auto keep = JoinConditionsHold(np, combined, true, &scratch, ctx);
       if (!keep.ok()) {
         inner_status = keep.status();
         return false;
@@ -617,23 +566,20 @@ Result<std::vector<Row>> ExecuteNode(const PlanNode& plan, ExecContext* ctx,
     case PlanNodeKind::kScan:
       return ExecuteScan(plan, ctx, idx);
     case PlanNodeKind::kHashJoin:
-      return ExecuteHashJoin(plan, ctx, node_counter);
+      return ExecuteHashJoin(plan, ctx, idx, node_counter);
     case PlanNodeKind::kNestedLoopJoin:
-      return ExecuteNLJoin(plan, ctx, node_counter);
+      return ExecuteNLJoin(plan, ctx, idx, node_counter);
     case PlanNodeKind::kIndexNLJoin:
-      return ExecuteIndexNLJoin(plan, ctx, node_counter);
+      return ExecuteIndexNLJoin(plan, ctx, idx, node_counter);
   }
   return Status::Internal("unknown plan node kind");
 }
 
-}  // namespace
-
+/// Execute the scan/join tree; rows follow `plan.layout`.
 Result<std::vector<Row>> ExecuteTree(const PlanNode& plan, ExecContext* ctx) {
   size_t node_counter = 0;
   return ExecuteNode(plan, ctx, &node_counter);
 }
-
-namespace {
 
 /// Streaming aggregate state for one (func, arg) pair.
 struct AggState {
@@ -737,25 +683,16 @@ struct GroupTable {
 /// materialized join output and the per-morsel partial aggregation tasks.
 struct GroupAccumulator {
   const BoundSelect* bound = nullptr;
-  const PlanNode* plan = nullptr;
   const CompiledSelect* cp = nullptr;
   EvalScratch* scratch = nullptr;
   GroupTable table;
   std::vector<Value> keys;  // reused per row
 
   Status AddRow(const Row& row) {
-    const sql::SelectStmt& stmt = *bound->stmt;
-    keys.clear();
-    keys.reserve(stmt.group_by.size());
-    for (size_t gi = 0; gi < stmt.group_by.size(); ++gi) {
-      Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(
-            cp->group_keys[gi].Run(row, nullptr, scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(v, Eval(*stmt.group_by[gi], plan->layout, row));
-      }
-      keys.push_back(std::move(v));
+    keys.resize(cp->group_keys.size());
+    for (size_t gi = 0; gi < keys.size(); ++gi) {
+      IMON_RETURN_IF_ERROR(
+          cp->group_keys[gi].Run(row, nullptr, scratch, &keys[gi]));
     }
     bool created = false;
     Group* group =
@@ -767,11 +704,7 @@ struct GroupAccumulator {
         group->states[a].seen = true;
       } else {
         Value v;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(cp->agg_args[a]->Run(row, nullptr, scratch, &v));
-        } else {
-          IMON_ASSIGN_OR_RETURN(v, Eval(*agg.arg, plan->layout, row));
-        }
+        IMON_RETURN_IF_ERROR(cp->agg_args[a]->Run(row, nullptr, scratch, &v));
         group->states[a].Add(v);
       }
     }
@@ -796,10 +729,9 @@ void MergeGroupTables(GroupTable* into, GroupTable&& from, size_t n_aggs) {
 /// Root-scan aggregate pushdown: each morsel accumulates a partial
 /// GroupTable; gather merges them in morsel order.
 Result<GroupTable> ParallelAggregateScan(const BoundSelect& bound,
-                                         const PlanNode& plan,
                                          ExecContext* ctx,
                                          const MorselPlan& mp) {
-  const std::vector<ExprProgram>* programs = NodePrograms(ctx, 0);
+  const std::vector<ExprProgram>& filters = Programs(ctx, 0).filters;
   const size_t capacity = std::max<size_t>(1, ctx->batch_size);
   std::vector<LaneScratch> lanes(LaneCount(ctx));
   std::vector<GroupTable> tables(mp.count);
@@ -811,12 +743,11 @@ Result<GroupTable> ParallelAggregateScan(const BoundSelect& bound,
     LaneScratch& ls = lanes[lane];
     GroupAccumulator acc;
     acc.bound = &bound;
-    acc.plan = &plan;
     acc.cp = ctx->compiled;
     acc.scratch = &ls.eval;
     Status sink_status = Status::OK();
     auto res = ScanMorselFiltered(
-        mp, m, plan, programs, capacity, ctx, &ls, [&](const Row& r) {
+        mp, m, filters, capacity, ctx, &ls, [&](const Row& r) {
           sink_status = acc.AddRow(r);
           return sink_status.ok();
         });
@@ -848,6 +779,9 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
                                 const PlanNode& plan, ExecContext* ctx) {
   const sql::SelectStmt& stmt = *bound.stmt;
   const CompiledSelect* cp = ctx->compiled;
+  if (cp == nullptr) {
+    return Status::Internal("ExecuteSelect requires compiled programs");
+  }
   EvalScratch scratch;
 
   ResultSet result;
@@ -874,13 +808,12 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
     if (root_morsels) {
       IMON_ASSIGN_OR_RETURN(MorselPlan mp, BuildMorselPlan(plan, ctx));
       IMON_ASSIGN_OR_RETURN(GroupTable merged,
-                            ParallelAggregateScan(bound, plan, ctx, mp));
+                            ParallelAggregateScan(bound, ctx, mp));
       groups = std::move(merged.groups);
     } else {
       IMON_ASSIGN_OR_RETURN(rows, ExecuteTree(plan, ctx));
       GroupAccumulator acc;
       acc.bound = &bound;
-      acc.plan = &plan;
       acc.cp = cp;
       acc.scratch = &scratch;
       for (const Row& row : rows) IMON_RETURN_IF_ERROR(acc.AddRow(row));
@@ -906,13 +839,8 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       std::vector<Logical> kept;
       for (Logical& l : logical) {
         bool ok = false;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(
-              cp->having->RunPredicate(*l.row, &l.aggs, &scratch, &ok));
-        } else {
-          IMON_ASSIGN_OR_RETURN(
-              ok, EvalPredicate(*stmt.having, plan.layout, *l.row, &l.aggs));
-        }
+        IMON_RETURN_IF_ERROR(
+            cp->having->RunPredicate(*l.row, &l.aggs, &scratch, &ok));
         if (ok) kept.push_back(std::move(l));
       }
       logical = std::move(kept);
@@ -927,11 +855,11 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
       size_t k = static_cast<size_t>(*stmt.limit);
       if (stmt.order_by.empty()) {
         IMON_ASSIGN_OR_RETURN(rows,
-                              ParallelScanRows(plan, ctx, 0, mp, k, nullptr));
+                              ParallelScanRows(ctx, 0, mp, k, nullptr));
       } else {
         TopKSpec spec{&stmt, k};
         IMON_ASSIGN_OR_RETURN(
-            rows, ParallelScanRows(plan, ctx, 0, mp,
+            rows, ParallelScanRows(ctx, 0, mp,
                                    std::numeric_limits<size_t>::max(), &spec));
       }
     } else {
@@ -947,17 +875,10 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
     std::vector<std::pair<std::vector<Value>, size_t>> keyed(logical.size());
     for (size_t i = 0; i < logical.size(); ++i) {
       keyed[i].second = i;
+      keyed[i].first.resize(stmt.order_by.size());
       for (size_t k = 0; k < stmt.order_by.size(); ++k) {
-        Value v;
-        if (cp != nullptr) {
-          IMON_RETURN_IF_ERROR(cp->order_keys[k].Run(
-              *logical[i].row, &logical[i].aggs, &scratch, &v));
-        } else {
-          IMON_ASSIGN_OR_RETURN(
-              v, Eval(*stmt.order_by[k].expr, plan.layout, *logical[i].row,
-                      &logical[i].aggs));
-        }
-        keyed[i].first.push_back(std::move(v));
+        IMON_RETURN_IF_ERROR(cp->order_keys[k].Run(
+            *logical[i].row, &logical[i].aggs, &scratch, &keyed[i].first[k]));
       }
     }
     std::stable_sort(keyed.begin(), keyed.end(),
@@ -984,17 +905,10 @@ Result<ResultSet> ExecuteSelect(const BoundSelect& bound,
         static_cast<int64_t>(result.rows.size()) >= *stmt.limit) {
       break;
     }
-    Row out_row;
-    out_row.reserve(bound.items.size());
-    for (size_t i = 0; i < bound.items.size(); ++i) {
-      Value v;
-      if (cp != nullptr) {
-        IMON_RETURN_IF_ERROR(cp->items[i].Run(*l.row, &l.aggs, &scratch, &v));
-      } else {
-        IMON_ASSIGN_OR_RETURN(
-            v, Eval(*bound.items[i].expr, plan.layout, *l.row, &l.aggs));
-      }
-      out_row.push_back(std::move(v));
+    Row out_row(cp->items.size());
+    for (size_t i = 0; i < out_row.size(); ++i) {
+      IMON_RETURN_IF_ERROR(
+          cp->items[i].Run(*l.row, &l.aggs, &scratch, &out_row[i]));
     }
     if (stmt.distinct) {
       std::string fingerprint;

@@ -43,8 +43,9 @@ struct ExecContext {
   /// Rows per RowBatch on the vectorized path (tests force 1 to drive
   /// the batch-size differential).
   size_t batch_size = kDefaultBatchSize;
-  /// Compiled programs for the statement, or null to interpret the AST
-  /// per row (the scalar fallback; also the benchmark baseline).
+  /// Programs of the statement, from CompiledSelect::Compile over the
+  /// same bound statement and plan. Required: every expression runs as a
+  /// compiled program, and ExecuteSelect returns Internal when it is null.
   const CompiledSelect* compiled = nullptr;
   /// Worker pool the morsels of every real-table scan (and the hash-join
   /// build chunks) run on. Null means one inline lane, exactly like a
@@ -63,10 +64,6 @@ struct ResultSet {
   std::vector<std::string> columns;
   std::vector<Row> rows;
 };
-
-/// Execute the scan/join tree; rows follow `plan.layout`.
-Result<std::vector<Row>> ExecuteTree(const optimizer::PlanNode& plan,
-                                     ExecContext* ctx);
 
 /// Execute a full bound SELECT: tree + aggregation + HAVING + ORDER BY +
 /// DISTINCT + LIMIT + projection.

@@ -2,6 +2,8 @@
 
 #include <cctype>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 
 namespace imon::exec {
@@ -19,12 +21,43 @@ Value BoolValue(bool b) { return Value::Int(b ? 1 : 0); }
 
 /// Pre-order enumeration matching the executor's traversal (node, left
 /// subtree, right subtree) — the shared indexing scheme for per-node
-/// filter programs.
+/// programs.
 void CollectNodes(const PlanNode& node, std::vector<const PlanNode*>* out) {
   out->push_back(&node);
   if (node.left) CollectNodes(*node.left, out);
   if (node.right) CollectNodes(*node.right, out);
 }
+
+/// Compile `expr` against `layout`, appending the program to `out`.
+Status CompileInto(const Expr& expr, const OutputLayout& layout,
+                   std::vector<ExprProgram>* out) {
+  IMON_ASSIGN_OR_RETURN(ExprProgram p, ExprProgram::Compile(expr, layout));
+  out->push_back(std::move(p));
+  return Status::OK();
+}
+
+/// Every program of one plan node (see NodePrograms for the layouts).
+Status CompileNode(const PlanNode& node, NodePrograms* out) {
+  for (const Expr* f : node.filters) {
+    IMON_RETURN_IF_ERROR(CompileInto(*f, node.layout, &out->filters));
+  }
+  const bool hash = node.kind == optimizer::PlanNodeKind::kHashJoin;
+  for (const auto& [outer, inner] : node.equi_keys) {
+    IMON_RETURN_IF_ERROR(CompileInto(
+        *outer, hash ? node.left->layout : node.layout, &out->outer_keys));
+    IMON_RETURN_IF_ERROR(CompileInto(
+        *inner, hash ? node.right->layout : node.layout, &out->inner_keys));
+  }
+  for (const Expr* r : node.residual) {
+    IMON_RETURN_IF_ERROR(CompileInto(*r, node.layout, &out->residual));
+  }
+  for (const Expr* p : node.probe_exprs) {
+    IMON_RETURN_IF_ERROR(CompileInto(*p, node.left->layout, &out->probe));
+  }
+  return Status::OK();
+}
+
+Status OutOfRange() { return Status::InvalidArgument("integer out of range"); }
 
 }  // namespace
 
@@ -121,6 +154,11 @@ Status ExprProgram::Emit(const Expr& expr, const OutputLayout& layout) {
       } else {
         return Status::Internal("cannot compile function '" +
                                 expr.func_name + "'");
+      }
+      // INSERT VALUES are not bound, so the arity is checked here too.
+      if (expr.args.size() != 1) {
+        return Status::InvalidArgument("function '" + expr.func_name +
+                                       "' takes exactly one argument");
       }
       IMON_RETURN_IF_ERROR(Emit(*expr.args[0], layout));
       ops_.push_back(ExprOp{code});
@@ -317,6 +355,9 @@ Status ExprProgram::Run(const Row& row, const AggregateValues* aggs,
         Value& t = stack[top - 1];
         if (t.is_null()) break;
         if (t.type() == TypeId::kInt) {
+          if (t.AsInt() == std::numeric_limits<int64_t>::min()) {
+            return OutOfRange();
+          }
           t = Value::Int(-t.AsInt());
         } else if (t.type() == TypeId::kDouble) {
           t = Value::Double(-t.AsDouble());
@@ -330,6 +371,9 @@ Status ExprProgram::Run(const Row& row, const AggregateValues* aggs,
         Value& t = stack[top - 1];
         if (t.is_null()) break;
         if (t.type() == TypeId::kInt) {
+          if (t.AsInt() == std::numeric_limits<int64_t>::min()) {
+            return OutOfRange();
+          }
           t = Value::Int(std::abs(t.AsInt()));
         } else if (t.type() == TypeId::kDouble) {
           t = Value::Double(std::fabs(t.AsDouble()));
@@ -438,25 +482,17 @@ Result<std::shared_ptr<const CompiledSelect>> CompiledSelect::Compile(
   auto compiled = std::make_shared<CompiledSelect>();
   std::vector<const PlanNode*> nodes;
   CollectNodes(plan, &nodes);
-  compiled->node_filters.resize(nodes.size());
+  compiled->nodes.resize(nodes.size());
   for (size_t i = 0; i < nodes.size(); ++i) {
-    compiled->node_filters[i].reserve(nodes[i]->filters.size());
-    for (const Expr* f : nodes[i]->filters) {
-      IMON_ASSIGN_OR_RETURN(ExprProgram p,
-                            ExprProgram::Compile(*f, nodes[i]->layout));
-      compiled->node_filters[i].push_back(std::move(p));
-    }
+    IMON_RETURN_IF_ERROR(CompileNode(*nodes[i], &compiled->nodes[i]));
   }
   for (const auto& item : bound.items) {
-    IMON_ASSIGN_OR_RETURN(ExprProgram p,
-                          ExprProgram::Compile(*item.expr, plan.layout));
-    compiled->items.push_back(std::move(p));
+    IMON_RETURN_IF_ERROR(
+        CompileInto(*item.expr, plan.layout, &compiled->items));
   }
   const sql::SelectStmt& stmt = *bound.stmt;
   for (const auto& g : stmt.group_by) {
-    IMON_ASSIGN_OR_RETURN(ExprProgram p,
-                          ExprProgram::Compile(*g, plan.layout));
-    compiled->group_keys.push_back(std::move(p));
+    IMON_RETURN_IF_ERROR(CompileInto(*g, plan.layout, &compiled->group_keys));
   }
   for (const auto& agg : bound.aggregates) {
     if (agg.arg == nullptr) {
@@ -473,9 +509,8 @@ Result<std::shared_ptr<const CompiledSelect>> CompiledSelect::Compile(
     compiled->having.emplace(std::move(p));
   }
   for (const auto& o : stmt.order_by) {
-    IMON_ASSIGN_OR_RETURN(ExprProgram p,
-                          ExprProgram::Compile(*o.expr, plan.layout));
-    compiled->order_keys.push_back(std::move(p));
+    IMON_RETURN_IF_ERROR(
+        CompileInto(*o.expr, plan.layout, &compiled->order_keys));
   }
   return std::shared_ptr<const CompiledSelect>(std::move(compiled));
 }

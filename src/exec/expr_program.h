@@ -1,5 +1,8 @@
 // Compiled expression programs: flat postfix op arrays evaluated with a
-// reusable value stack.
+// reusable value stack. They are the engine's only expression evaluator:
+// SELECT filters, join keys and residuals, projections, aggregates,
+// HAVING and ORDER BY, DML WHERE/SET, INSERT VALUES and trigger WHEN
+// all run as programs.
 //
 // The binder annotates the AST once per statement; Compile() then walks
 // the bound tree once and emits a contiguous vector of ExprOp — column
@@ -7,12 +10,13 @@
 // aggregate calls resolved to their bind-time slot, literals and LIKE
 // patterns interned in program-owned pools. Evaluation is a tight loop
 // over the op array with no per-node Result<Value> allocation on the
-// non-error path, and short-circuit ops (AND/OR probes, IN steps,
-// NULL-propagation jumps) preserve the scalar evaluator's semantics
-// exactly — including which subexpressions are *not* evaluated, so an
-// error that the scalar path would never reach is never raised here
-// either. Programs are immutable after Compile and safe to share across
-// threads (the plan cache stores them alongside the plan).
+// non-error path. Short-circuit ops (AND/OR probes, IN steps,
+// NULL-propagation jumps) skip the subexpressions SQL leaves
+// unevaluated, so an error in an operand that is never reached is never
+// raised; the test-only reference evaluator
+// (tests/exec/reference_eval.h) holds these semantics fixed. Programs
+// are immutable after Compile and safe to share across threads (the
+// plan cache stores them alongside the plan).
 
 #ifndef IMON_EXEC_EXPR_PROGRAM_H_
 #define IMON_EXEC_EXPR_PROGRAM_H_
@@ -70,9 +74,9 @@ struct EvalScratch {
 
 class ExprProgram {
  public:
-  /// Compile a bound expression against `layout`. Fails on unbound
-  /// columns or expressions the program machine cannot represent; the
-  /// caller falls back to the scalar AST evaluator.
+  /// Compile a bound expression against `layout`. Fails on columns
+  /// absent from `layout` or expressions the program machine cannot
+  /// represent; the caller returns that error as the statement's Status.
   static Result<ExprProgram> Compile(const sql::Expr& expr,
                                      const optimizer::OutputLayout& layout);
 
@@ -103,13 +107,27 @@ class ExprProgram {
   Status Emit(const sql::Expr& expr, const optimizer::OutputLayout& layout);
 };
 
+/// Programs of one plan node, each compiled against the layout the
+/// executor evaluates it on.
+struct NodePrograms {
+  std::vector<ExprProgram> filters;  ///< scan conjuncts (node layout)
+  /// Equi-join key pairs, aligned with PlanNode::equi_keys. Hash joins
+  /// compile the outer side against the left child's layout and the
+  /// inner side against the right child's; nested-loop and index-NL
+  /// joins compile both against the combined (node) layout.
+  std::vector<ExprProgram> outer_keys;
+  std::vector<ExprProgram> inner_keys;
+  std::vector<ExprProgram> residual;  ///< join residuals (node layout)
+  std::vector<ExprProgram> probe;     ///< index-NL probe keys (left layout)
+};
+
 /// Every program a SELECT needs, compiled once per statement and cached
-/// alongside the plan. Scan-node filter programs are indexed by the
-/// node's pre-order position in the plan tree (node, then left subtree,
-/// then right subtree) — PlanNode carries no id, and the executor
-/// traverses in the same order.
+/// alongside the plan. Per-node programs are indexed by the node's
+/// pre-order position in the plan tree (node, then left subtree, then
+/// right subtree) — PlanNode carries no id, and the executor traverses
+/// in the same order.
 struct CompiledSelect {
-  std::vector<std::vector<ExprProgram>> node_filters;
+  std::vector<NodePrograms> nodes;
   std::vector<ExprProgram> items;       ///< select-list expressions
   std::vector<ExprProgram> group_keys;  ///< GROUP BY key expressions
   /// Aligned with BoundSelect::aggregates; empty for COUNT(*).

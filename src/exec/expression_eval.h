@@ -1,13 +1,16 @@
-// Bound-expression evaluation with SQL three-valued logic.
+// SQL value primitives with three-valued logic, shared by the compiled
+// ExprProgram machine (exec/expr_program.h) — the engine's only
+// expression evaluator — and by the test-only reference evaluator it is
+// checked against.
 
 #ifndef IMON_EXEC_EXPRESSION_EVAL_H_
 #define IMON_EXEC_EXPRESSION_EVAL_H_
 
+#include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "common/value.h"
-#include "optimizer/plan.h"
 #include "sql/ast.h"
 
 namespace imon::exec {
@@ -16,29 +19,17 @@ namespace imon::exec {
 /// binder assigns slots in BoundSelect::aggregates order).
 using AggregateValues = std::vector<Value>;
 
-/// Evaluate `expr` against one row laid out by `layout`. Aggregate calls
-/// are looked up in `aggs` (Internal error when absent there).
-Result<Value> Eval(const sql::Expr& expr,
-                   const optimizer::OutputLayout& layout, const Row& row,
-                   const AggregateValues* aggs = nullptr);
-
-/// Predicate evaluation: true iff Eval() yields non-NULL non-zero.
-Result<bool> EvalPredicate(const sql::Expr& expr,
-                           const optimizer::OutputLayout& layout,
-                           const Row& row,
-                           const AggregateValues* aggs = nullptr);
-
 /// SQL LIKE with % and _ wildcards.
 bool LikeMatch(const std::string& text, const std::string& pattern);
 
 /// Three-valued comparison result: -2 when either operand is NULL.
-/// Shared by the scalar evaluator and the compiled ExprProgram machine
-/// so the two paths cannot drift.
 int CompareSql(const Value& a, const Value& b);
 
 /// SQL arithmetic with NULL propagation ('+' concatenates text,
-/// division by zero yields NULL, '%' requires integers). Status-based so
-/// the compiled path pays no Result<Value> on the non-error path.
+/// division by zero yields NULL, '%' requires integers). Integer
+/// overflow, INT64_MIN / -1 and INT64_MIN % -1 are InvalidArgument
+/// ("integer out of range"), never undefined behaviour. Status-based so
+/// the non-error path pays no Result<Value>.
 Status ArithmeticOp(sql::BinaryOp op, const Value& l, const Value& r,
                     Value* out);
 

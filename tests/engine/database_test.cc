@@ -4,10 +4,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <thread>
 
+#include "exec/expr_program.h"
 #include "exec/worker_pool.h"
 #include "ima/ima.h"
 #include "sql/normalizer.h"
@@ -393,17 +396,27 @@ TEST_F(DatabaseTest, VirtualIndexPlansFailToExecute) {
     ASSERT_TRUE(plan.ok()) << plan.status();
     std::string text = planner.Summarize(**plan, *bound).plan_text;
     EXPECT_NE(text.find(c.plan), std::string::npos) << text;
+    auto compiled = exec::CompiledSelect::Compile(*bound, **plan);
+    ASSERT_TRUE(compiled.ok()) << compiled.status();
     for (exec::WorkerPool* workers : {static_cast<exec::WorkerPool*>(nullptr),
                                       &pool}) {
       exec::ExecContext ctx;
       ctx.storage = db_.storage_layer();
       ctx.tables = &bound->tables;
       ctx.workers = workers;
+      ctx.compiled = compiled->get();
       auto rs = exec::ExecuteSelect(*bound, **plan, &ctx);
       ASSERT_FALSE(rs.ok());
       EXPECT_EQ(rs.status().code(), StatusCode::kInternal);
       EXPECT_EQ(std::string(rs.status().message()), c.error);
     }
+    // Programs are required: without them ExecuteSelect refuses to run.
+    exec::ExecContext uncompiled;
+    uncompiled.storage = db_.storage_layer();
+    uncompiled.tables = &bound->tables;
+    auto rs = exec::ExecuteSelect(*bound, **plan, &uncompiled);
+    ASSERT_FALSE(rs.ok());
+    EXPECT_EQ(rs.status().code(), StatusCode::kInternal);
   }
 }
 
@@ -477,6 +490,76 @@ TEST_F(DatabaseTest, FailedStatementLeavesNoRow) {
     EXPECT_EQ(IdRows(&db_, session.get()), expected);
     MustExec("DELETE FROM a WHERE id >= 10");
   }
+}
+
+// Integer overflow, INT64_MIN / -1 and INT64_MIN % -1 are statement
+// errors: the process survives and the database stays usable.
+TEST_F(DatabaseTest, IntegerOverflowIsAStatementError) {
+  MustExec("CREATE TABLE t (a INT)");
+  MustExec("INSERT INTO t VALUES (-9223372036854775807)");
+  for (const char* sql : {"SELECT (a - 1) / -1 FROM t",
+                          "SELECT (a - 1) % -1 FROM t",
+                          "UPDATE t SET a = (a - 1) / -1",
+                          "SELECT a - 2 FROM t", "SELECT a * 2 FROM t",
+                          "SELECT -(a - 1) FROM t",
+                          "SELECT abs(a - 1) FROM t"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_EQ(r.status().message(), "integer out of range") << sql;
+    QueryResult after = MustExec("SELECT a, (a - 1) / 1 FROM t");
+    ASSERT_EQ(after.rows.size(), 1u);
+    EXPECT_EQ(after.rows[0][0].AsInt(), -9223372036854775807);
+    EXPECT_EQ(after.rows[0][1].AsInt(), std::numeric_limits<int64_t>::min());
+  }
+}
+
+// INSERT VALUES items are compiled unbound: a scalar function with the
+// wrong number of arguments is a statement error, not a crash.
+TEST_F(DatabaseTest, InsertValuesCheckFunctionArity) {
+  MustExec("CREATE TABLE t (a INT)");
+  for (const char* sql : {"INSERT INTO t VALUES (abs())",
+                          "INSERT INTO t VALUES (abs(1, 2))"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().message(),
+              "function 'abs' takes exactly one argument")
+        << sql;
+  }
+  MustExec("INSERT INTO t VALUES (abs(-4))");
+  QueryResult rows = MustExec("SELECT a FROM t");
+  ASSERT_EQ(rows.rows.size(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsInt(), 4);
+}
+
+// An UPDATE whose SET expression fails on its second row leaves both
+// rows as they were: the first row's new value is undone.
+TEST_F(DatabaseTest, FailedSetExpressionLeavesRowsUnchanged) {
+  MustExec("CREATE TABLE t (id INT, v INT, tag TEXT)");
+  MustExec("INSERT INTO t VALUES (1, 10, NULL), (2, 20, 'x')");
+  auto r = db_.Execute("UPDATE t SET v = tag - 1");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "arithmetic on text value");
+  QueryResult rows = MustExec("SELECT id, v FROM t ORDER BY id");
+  ASSERT_EQ(rows.rows.size(), 2u);
+  EXPECT_EQ(rows.rows[0][1].AsInt(), 10);
+  EXPECT_EQ(rows.rows[1][1].AsInt(), 20);
+}
+
+// A trigger whose WHEN errors on a row raises no alert for it and never
+// fails the INSERT; rows on which it evaluates still fire.
+TEST_F(DatabaseTest, TriggerWhenErrorNeverFailsInsert) {
+  MustExec("CREATE TABLE metrics (sessions INT, host TEXT)");
+  MustExec("CREATE TRIGGER too_many AFTER INSERT ON metrics "
+           "WHEN sessions >= 100 OR host - 1 > 0 RAISE 'limit'");
+  std::vector<AlertEvent> alerts;
+  db_.SetAlertHandler([&](const AlertEvent& e) { alerts.push_back(e); });
+  MustExec("INSERT INTO metrics VALUES (50, 'h'), (120, 'h'), (60, NULL)");
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts[0].row[0].AsInt(), 120);
+  QueryResult count = MustExec("SELECT count(*) FROM metrics");
+  EXPECT_EQ(count.rows[0][0].AsInt(), 3);
+  db_.SetAlertHandler(nullptr);
 }
 
 TEST(StatementScopeTest, FailedJoinReleasesItsLocks) {
@@ -766,17 +849,11 @@ void ExpectPinnedRowsExamined(Database* db) {
 
 // rows_examined feeds the monitor's actual-cost sensor. These statements
 // read through index-NL probes, a one-bucket hash unit list and DML
-// target collection on every structure; their counts are pinned, on both
-// expression paths, so a change of read path cannot move the sensor's
-// input unnoticed.
+// target collection on every structure; their counts are pinned so a
+// change of read path cannot move the sensor's input unnoticed.
 TEST(RowsExaminedTest, PinnedOnProbeAndDmlPaths) {
-  for (bool compiled : {true, false}) {
-    SCOPED_TRACE(compiled ? "compiled" : "scalar");
-    DatabaseOptions options;
-    options.use_compiled_exprs = compiled;
-    Database db(options);
-    ExpectPinnedRowsExamined(&db);
-  }
+  Database db{DatabaseOptions{}};
+  ExpectPinnedRowsExamined(&db);
 }
 
 TEST_F(DatabaseTest, MonitorRecordsStatementPath) {

@@ -1,8 +1,8 @@
 // Vectorized execution: batch-boundary correctness and the differential
-// oracle between batch sizes and between the compiled (ExprProgram) and
-// scalar (tree-walking) expression paths. The invariant mirrors the
-// physical-design oracle: batch size and expression compilation may
-// change *cost*, never *results*.
+// oracle between batch sizes. The invariant mirrors the physical-design
+// oracle: batch size may change *cost*, never *results*. (Expression
+// semantics are checked against the reference evaluator in
+// tests/exec/expr_differential_test.cc.)
 
 #include <gtest/gtest.h>
 
@@ -18,10 +18,9 @@ namespace {
 
 using imon::testing::Fingerprint;
 
-DatabaseOptions Opts(size_t batch_size, bool compiled) {
+DatabaseOptions Opts(size_t batch_size) {
   DatabaseOptions o;
   o.exec_batch_size = batch_size;
-  o.use_compiled_exprs = compiled;
   return o;
 }
 
@@ -77,14 +76,14 @@ class ExecBatchTest : public ::testing::Test {};
 
 // Row counts straddling the 1024-row default batch: 1 (single short
 // batch), 1023 (one row shy), 1024 (exactly one full batch), 1025 (full
-// batch + one-row tail).
+// batch + one-row tail), each against row-at-a-time batches of one.
 TEST_F(ExecBatchTest, BatchBoundaryRowCounts) {
   for (int n : {1, 1023, 1024, 1025}) {
-    Database scalar{Opts(1024, false)};
-    PopulateRows(&scalar, n);
-    auto baseline = RunAll(&scalar);
+    Database single{Opts(1)};
+    PopulateRows(&single, n);
+    auto baseline = RunAll(&single);
 
-    Database batched{Opts(1024, true)};
+    Database batched{Opts(1024)};
     PopulateRows(&batched, n);
     auto got = RunAll(&batched);
     for (size_t i = 0; i < std::size(kBatchQueries); ++i) {
@@ -103,7 +102,7 @@ TEST_F(ExecBatchTest, BatchBoundaryRowCounts) {
 // emptied selection vector must short-circuit downstream work without
 // emitting rows or disturbing aggregates over the empty set.
 TEST_F(ExecBatchTest, AllFilteredBatches) {
-  Database db{Opts(256, true)};
+  Database db{Opts(256)};
   PopulateRows(&db, 1025);
 
   auto r = db.Execute("SELECT id FROM t WHERE v < 0");
@@ -128,7 +127,7 @@ TEST_F(ExecBatchTest, AllFilteredBatches) {
 // vector with SQL three-valued logic: a NULL predicate drops the row, a
 // NULL operand poisons only its own row's projection.
 TEST_F(ExecBatchTest, NullPropagationThroughSelectionVector) {
-  Database db{Opts(4, true)};  // tiny batches force many boundaries
+  Database db{Opts(4)};  // tiny batches force many boundaries
   ASSERT_TRUE(db.Execute("CREATE TABLE n (id INT, v INT)").ok());
   ASSERT_TRUE(db.Execute("INSERT INTO n VALUES (0, 5), (1, NULL), (2, 7), "
                          "(3, NULL), (4, 1), (5, 9), (6, NULL), (7, 2)")
@@ -172,56 +171,53 @@ TEST_F(ExecBatchTest, DifferentialBatchSizeOneVsDefault) {
       "LIMIT 25",
   };
 
-  Database one{Opts(1, true)};
+  Database one{Opts(1)};
   imon::testing::Populate(&one, 99);
-  Database big{Opts(1024, true)};
+  Database big{Opts(1024)};
   imon::testing::Populate(&big, 99);
-  Database scalar{Opts(1024, false)};
-  imon::testing::Populate(&scalar, 99);
 
   for (const char* q : kQueries) {
     auto r1 = one.Execute(q);
     auto r2 = big.Execute(q);
-    auto r3 = scalar.Execute(q);
     ASSERT_TRUE(r1.ok()) << q << " -> " << r1.status();
     ASSERT_TRUE(r2.ok()) << q << " -> " << r2.status();
-    ASSERT_TRUE(r3.ok()) << q << " -> " << r3.status();
     EXPECT_EQ(Fingerprint(*r1), Fingerprint(*r2))
         << "batch 1 vs 1024 diverged on: " << q;
-    EXPECT_EQ(Fingerprint(*r2), Fingerprint(*r3))
-        << "compiled vs scalar diverged on: " << q;
   }
 }
 
-// Error semantics must not drift between the paths: a divide-by-zero-free
-// query with a type error in an unreached branch behaves identically, and
-// rows_examined accounting matches on the happy path.
-TEST_F(ExecBatchTest, CompiledAndScalarAgreeOnErrorsAndAccounting) {
-  Database compiled{Opts(1024, true)};
-  PopulateRows(&compiled, 100);
-  Database scalar{Opts(1024, false)};
-  PopulateRows(&scalar, 100);
+// Errors and accounting do not depend on the batch size: a type error
+// raised mid-batch is the same error, division by zero yields NULL, and
+// a full scan examines every row once.
+TEST_F(ExecBatchTest, BatchSizesAgreeOnErrorsAndAccounting) {
+  Database single{Opts(1)};
+  PopulateRows(&single, 100);
+  Database batched{Opts(1024)};
+  PopulateRows(&batched, 100);
 
-  // Arithmetic on text errors the same way on both paths.
-  auto rc = compiled.Execute("SELECT tag - 1 FROM t WHERE id = 2");
-  auto rs = scalar.Execute("SELECT tag - 1 FROM t WHERE id = 2");
-  ASSERT_FALSE(rc.ok());
-  ASSERT_FALSE(rs.ok());
-  EXPECT_EQ(rc.status().message(), rs.status().message());
+  // Arithmetic on text errors the same way at both batch sizes.
+  auto r1 = single.Execute("SELECT tag - 1 FROM t WHERE id = 2");
+  auto r2 = batched.Execute("SELECT tag - 1 FROM t WHERE id = 2");
+  ASSERT_FALSE(r1.ok());
+  ASSERT_FALSE(r2.ok());
+  EXPECT_EQ(r1.status().message(), "arithmetic on text value");
+  EXPECT_EQ(r2.status().message(), r1.status().message());
 
-  // INT division by zero yields NULL (not an error) on both paths.
-  rc = compiled.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
-  rs = scalar.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
-  ASSERT_TRUE(rc.ok());
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(Fingerprint(*rc), Fingerprint(*rs));
+  // INT division by zero yields NULL (not an error).
+  r1 = single.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
+  r2 = batched.Execute("SELECT count(*) FROM t WHERE v / 0 > 1");
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r1->rows[0][0].AsInt(), 0);
+  EXPECT_EQ(Fingerprint(*r1), Fingerprint(*r2));
 
   // Full-scan accounting is identical: every row examined once.
-  rc = compiled.Execute("SELECT count(*) FROM t WHERE v > 3");
-  rs = scalar.Execute("SELECT count(*) FROM t WHERE v > 3");
-  ASSERT_TRUE(rc.ok());
-  ASSERT_TRUE(rs.ok());
-  EXPECT_EQ(rc->stats.rows_examined, rs->stats.rows_examined);
+  r1 = single.Execute("SELECT count(*) FROM t WHERE v > 3");
+  r2 = batched.Execute("SELECT count(*) FROM t WHERE v > 3");
+  ASSERT_TRUE(r1.ok());
+  ASSERT_TRUE(r2.ok());
+  EXPECT_EQ(r1->stats.rows_examined, 100);
+  EXPECT_EQ(r2->stats.rows_examined, 100);
 }
 
 }  // namespace

@@ -1,21 +1,49 @@
+// Expression semantics, checked on both evaluators: every case runs as
+// a compiled ExprProgram and through the reference tree walker, which
+// must agree on the value or the error.
+
 #include "exec/expression_eval.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
+#include <utility>
+
+#include "exec/expr_program.h"
 #include "sql/parser.h"
+#include "tests/exec/reference_eval.h"
 
 namespace imon::exec {
 namespace {
+
+/// Evaluate `expr` on both evaluators, expecting identical outcomes;
+/// returns the program's result.
+Result<Value> EvalBoth(const sql::Expr& expr,
+                       const optimizer::OutputLayout& layout, const Row& row) {
+  Result<Value> program = RunProgram(expr, layout, row);
+  EXPECT_EQ(Outcome(program), Outcome(Eval(expr, layout, row)))
+      << expr.ToString();
+  return program;
+}
 
 /// Evaluate a constant SQL expression (no column refs).
 Value EvalConst(const std::string& text) {
   auto expr = sql::ParseExpression(text);
   EXPECT_TRUE(expr.ok()) << text << " -> " << expr.status();
-  optimizer::OutputLayout layout;
-  Row row;
-  auto v = Eval(**expr, layout, row);
+  auto v = EvalBoth(**expr, optimizer::OutputLayout(), Row());
   EXPECT_TRUE(v.ok()) << text << " -> " << v.status();
   return v.ok() ? v.TakeValue() : Value();
+}
+
+/// The error a constant SQL expression raises on both evaluators.
+std::string ConstError(const std::string& text) {
+  auto expr = sql::ParseExpression(text);
+  EXPECT_TRUE(expr.ok()) << text << " -> " << expr.status();
+  auto v = EvalBoth(**expr, optimizer::OutputLayout(), Row());
+  EXPECT_FALSE(v.ok()) << text << " -> " << Outcome(v);
+  return v.ok() ? "" : v.status().message();
 }
 
 TEST(ExprEvalTest, Arithmetic) {
@@ -27,6 +55,24 @@ TEST(ExprEvalTest, Arithmetic) {
   // Integer division truncates; mixed division is exact.
   EXPECT_EQ(EvalConst("7 / 2").AsInt(), 3);
   EXPECT_DOUBLE_EQ(EvalConst("7.0 / 2").AsDouble(), 3.5);
+}
+
+// Integer overflow is an error on every operator, never a trap or a
+// wrapped value; INT64_MIN is spelled -9223372036854775807 - 1.
+TEST(ExprEvalTest, IntegerOverflowIsAnError) {
+  const char* const kMin = "(-9223372036854775807 - 1)";
+  for (const std::string& text :
+       {std::string("9223372036854775807 + 1"),
+        std::string(kMin) + " - 1", std::string("4611686018427387904 * 2"),
+        std::string(kMin) + " / -1", std::string(kMin) + " % -1",
+        "-" + std::string(kMin), "abs(" + std::string(kMin) + ")"}) {
+    EXPECT_EQ(ConstError(text), "integer out of range") << text;
+  }
+  EXPECT_EQ(EvalConst(std::string(kMin) + " / 1").AsInt(),
+            std::numeric_limits<int64_t>::min());
+  EXPECT_EQ(EvalConst(std::string(kMin) + " % 1").AsInt(), 0);
+  EXPECT_EQ(EvalConst("-9223372036854775807 / -1").AsInt(),
+            std::numeric_limits<int64_t>::max());
 }
 
 TEST(ExprEvalTest, DivisionByZeroIsNull) {
@@ -97,7 +143,7 @@ TEST(ExprEvalTest, ColumnReferences) {
   (*expr)->rhs->bound_column = 1;
   auto layout = optimizer::OutputLayout::ForTable(0, 1, 2);
   Row row = {Value::Int(3), Value::Int(4)};
-  auto v = Eval(**expr, layout, row);
+  auto v = EvalBoth(**expr, layout, row);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v->AsInt(), 7);
 }
@@ -135,15 +181,22 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(ExprEvalTest, PredicateSemantics) {
   optimizer::OutputLayout layout;
   Row row;
-  auto t = sql::ParseExpression("1 < 2");
-  auto p = EvalPredicate(**t, layout, row);
-  ASSERT_TRUE(p.ok());
-  EXPECT_TRUE(*p);
-  // NULL predicates are not satisfied.
-  auto n = sql::ParseExpression("NULL = 1");
-  p = EvalPredicate(**n, layout, row);
-  ASSERT_TRUE(p.ok());
-  EXPECT_FALSE(*p);
+  EvalScratch scratch;
+  for (const auto& [text, expected] :
+       {std::pair<const char*, bool>{"1 < 2", true},
+        // NULL predicates are not satisfied.
+        {"NULL = 1", false}}) {
+    auto expr = sql::ParseExpression(text);
+    ASSERT_TRUE(expr.ok());
+    auto reference = EvalPredicate(**expr, layout, row);
+    ASSERT_TRUE(reference.ok());
+    EXPECT_EQ(*reference, expected) << text;
+    auto program = ExprProgram::Compile(**expr, layout);
+    ASSERT_TRUE(program.ok());
+    bool pass = !expected;
+    ASSERT_TRUE(program->RunPredicate(row, nullptr, &scratch, &pass).ok());
+    EXPECT_EQ(pass, expected) << text;
+  }
 }
 
 }  // namespace

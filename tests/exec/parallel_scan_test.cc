@@ -4,10 +4,10 @@
 // scans, hash point probes (one bucket unit) and secondary-index scans
 // alike — and a 1-lane pool runs the same morsels inline, so there is no
 // separate serial path to compare against. Every query must produce
-// byte-identical output across worker counts {1, 2, 4, 8} x both
-// expression paths (compiled / scalar) x every storage structure (HEAP,
-// BTREE, HASH, ISAM), morsel boundaries must not leak into results, and
-// errors raised mid-scan must be deterministic regardless of scheduling.
+// byte-identical output across worker counts {1, 2, 4, 8} x batch sizes
+// {1, 1024} x every storage structure (HEAP, BTREE, HASH, ISAM), morsel
+// boundaries must not leak into results, and errors raised mid-scan must
+// be deterministic regardless of scheduling.
 
 #include <gtest/gtest.h>
 
@@ -24,12 +24,12 @@ namespace {
 
 using imon::testing::Fingerprint;
 
-DatabaseOptions ParOpts(size_t workers, bool compiled,
-                        size_t morsel_pages = 0) {
+DatabaseOptions ParOpts(size_t workers, size_t morsel_pages = 0,
+                        size_t batch_size = 0) {
   DatabaseOptions o;
   o.exec_workers = workers;
-  o.use_compiled_exprs = compiled;
   if (morsel_pages > 0) o.exec_morsel_pages = morsel_pages;
+  if (batch_size > 0) o.exec_batch_size = batch_size;
   return o;
 }
 
@@ -81,19 +81,19 @@ std::vector<std::string> RunAll(Database* db) {
 
 class ParallelScanTest : public ::testing::Test {};
 
-TEST_F(ParallelScanTest, WorkerCountsAndExprPathsAgree) {
-  Database baseline_db{ParOpts(1, false)};
+TEST_F(ParallelScanTest, WorkerCountsAndBatchSizesAgree) {
+  Database baseline_db{ParOpts(1)};
   imon::testing::Populate(&baseline_db, /*seed=*/7);
   auto baseline = RunAll(&baseline_db);
 
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    for (bool compiled : {false, true}) {
-      Database db{ParOpts(workers, compiled)};
+    for (size_t batch : {1u, 1024u}) {
+      Database db{ParOpts(workers, 0, batch)};
       imon::testing::Populate(&db, /*seed=*/7);
       auto got = RunAll(&db);
       for (size_t i = 0; i < std::size(kParallelQueries); ++i) {
         EXPECT_EQ(got[i], baseline[i])
-            << "workers=" << workers << " compiled=" << compiled
+            << "workers=" << workers << " batch=" << batch
             << " diverged on: " << kParallelQueries[i];
       }
     }
@@ -135,8 +135,8 @@ TEST_F(ParallelScanTest, StructureMatrixAgreesAcrossWorkers) {
   for (const char* structure : {"HEAP", "BTREE", "HASH", "ISAM"}) {
     std::vector<std::string> baseline;
     for (size_t workers : {1u, 2u, 4u, 8u}) {
-      for (bool compiled : {false, true}) {
-        Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
+      for (size_t batch : {1u, 1024u}) {
+        Database db{ParOpts(workers, /*morsel_pages=*/1, batch)};
         imon::testing::Populate(&db, /*seed=*/7);
         if (std::string(structure) != "HEAP") {
           ASSERT_TRUE(
@@ -154,7 +154,7 @@ TEST_F(ParallelScanTest, StructureMatrixAgreesAcrossWorkers) {
           for (size_t i = 0; i < std::size(kStructureQueries); ++i) {
             EXPECT_EQ(got[i], baseline[i])
                 << "structure=" << structure << " workers=" << workers
-                << " compiled=" << compiled
+                << " batch=" << batch
                 << " diverged on: " << kStructureQueries[i];
           }
         }
@@ -170,7 +170,7 @@ TEST_F(ParallelScanTest, StructureMatrixAgreesAcrossWorkers) {
 TEST_F(ParallelScanTest, HashJoinBuildDeterministicAcrossWorkers) {
   std::string baseline;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    Database db{ParOpts(workers, /*compiled=*/true, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     imon::testing::Populate(&db, /*seed=*/13);
     auto r = db.Execute(
         "SELECT i.id, i.grp, s.qty, s.day FROM item i "
@@ -186,16 +186,124 @@ TEST_F(ParallelScanTest, HashJoinBuildDeterministicAcrossWorkers) {
   }
 }
 
+/// a(id, x, k, big) and b(id, y, k, big) with NULL keys on both sides.
+/// b.big is INT64_MAX exactly on the b rows whose k is NULL or >= 40, so
+/// `a.big + b.big` overflows on those rows only, and no a.k (0..39 or
+/// NULL) ever matches them. p(k), NULLs included, probes the index on
+/// c(id, v).
+void PopulateJoinKeys(Database* db) {
+  ASSERT_TRUE(db->Execute("CREATE TABLE a (id INT, x INT, k INT, big INT)")
+                  .ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE b (id INT, y INT, k INT, big INT)")
+                  .ok());
+  auto insert = [&](const char* table, int n, auto row) {
+    std::string sql;
+    for (int i = 0; i < n; ++i) {
+      sql += sql.empty() ? std::string("INSERT INTO ") + table + " VALUES "
+                         : std::string(", ");
+      sql += row(i);
+    }
+    ASSERT_TRUE(db->Execute(sql).ok()) << table;
+  };
+  auto or_null = [](bool is_null, int v) {
+    return is_null ? std::string("NULL") : std::to_string(v);
+  };
+  insert("a", 300, [&](int i) {
+    return "(" + std::to_string(i) + ", " + or_null(i % 7 == 0, i % 50) +
+           ", " + or_null(i % 11 == 0, i % 40) + ", 1)";
+  });
+  insert("b", 600, [&](int i) {
+    bool null_k = i % 13 == 0;
+    bool unmatched = null_k || i % 60 >= 40;
+    return "(" + std::to_string(i) + ", " + or_null(i % 5 == 0, i % 51) +
+           ", " + or_null(null_k, i % 60) + ", " +
+           (unmatched ? "9223372036854775807" : std::to_string(i)) + ")";
+  });
+  ASSERT_TRUE(db->Execute("CREATE TABLE c (id INT, v INT)").ok());
+  for (int begin = 0; begin < 3000; begin += 500) {
+    insert("c", 500, [&](int i) {
+      return "(" + std::to_string(begin + i) + ", " +
+             std::to_string((begin + i) % 97) + ")";
+    });
+  }
+  ASSERT_TRUE(db->Execute("CREATE INDEX c_id ON c (id)").ok());
+  ASSERT_TRUE(db->Execute("CREATE TABLE p (k INT)").ok());
+  ASSERT_TRUE(db->Execute("INSERT INTO p VALUES (3), (NULL), (1700), "
+                          "(NULL), (2999), (5000)")
+                  .ok());
+  ASSERT_TRUE(db->Execute("ANALYZE p").ok());
+  ASSERT_TRUE(db->Execute("ANALYZE c").ok());
+}
+
+// Join keys, join residuals and index-NL probe keys run as compiled
+// programs. Each query pins the join method it exercises and must give
+// identical ordered output (or the identical error) for every worker
+// count and batch size.
+TEST_F(ParallelScanTest, CompiledJoinSitesAgreeAcrossWorkersAndBatchSizes) {
+  struct Query {
+    const char* sql;
+    const char* plan;  ///< join method the query must exercise
+  };
+  const Query queries[] = {
+      // Hash join: equi key plus an expression residual, NULLs both sides.
+      {"SELECT a.id, b.id FROM a JOIN b ON a.k = b.k AND a.x + 1 = b.y",
+       "HashJoin"},
+      // The residual overflows on b rows no a.k matches: it runs only on
+      // matched pairs, so the query succeeds.
+      {"SELECT count(*), sum(b.id) FROM a JOIN b ON a.k = b.k "
+       "WHERE a.big + b.big > 0",
+       "HashJoin"},
+      // Nested-loop join on an expression key, NULLs both sides.
+      {"SELECT a.id, b.id FROM a JOIN b ON a.x + 1 = b.y", "NLJoin"},
+      // Here the overflowing conjunct is reached on a pair with a huge
+      // b.big, so the error is the statement's.
+      {"SELECT a.id FROM a JOIN b ON a.x + 1 = b.y AND a.big + b.big > 0",
+       "NLJoin"},
+      // Index-NL probe whose outer key is NULL on two rows.
+      {"SELECT p.k, c.v FROM p JOIN c ON p.k = c.id", "IndexNLJoin"},
+  };
+  std::vector<std::string> baseline;
+  for (size_t workers : {1u, 2u, 4u, 8u}) {
+    for (size_t batch : {1u, 1024u}) {
+      Database db{ParOpts(workers, /*morsel_pages=*/1, batch)};
+      PopulateJoinKeys(&db);
+      std::vector<std::string> got;
+      for (const Query& q : queries) {
+        auto plan = db.Execute(std::string("EXPLAIN ") + q.sql);
+        ASSERT_TRUE(plan.ok()) << q.sql;
+        EXPECT_NE(plan->stats.plan_text.find(q.plan), std::string::npos)
+            << q.sql << "\n" << plan->stats.plan_text;
+        auto r = db.Execute(q.sql);
+        got.push_back(r.ok() ? OrderedDump(*r) : r.status().ToString());
+      }
+      if (baseline.empty()) {
+        baseline = got;
+        EXPECT_EQ(got[3], "InvalidArgument: integer out of range");
+        for (size_t i : {0u, 1u, 2u, 4u}) {
+          EXPECT_EQ(got[i].find("Argument"), std::string::npos)
+              << queries[i].sql << " -> " << got[i];
+        }
+        continue;
+      }
+      for (size_t i = 0; i < std::size(queries); ++i) {
+        EXPECT_EQ(got[i], baseline[i])
+            << "workers=" << workers << " batch=" << batch
+            << " diverged on: " << queries[i].sql;
+      }
+    }
+  }
+}
+
 // Degenerate morsel geometries: one page per morsel maximizes the
 // number of partial results to merge; a huge morsel collapses the scan
 // to a single task (the inline path). Both must match the default.
 TEST_F(ParallelScanTest, MorselSizeDoesNotChangeResults) {
-  Database baseline_db{ParOpts(4, true)};
+  Database baseline_db{ParOpts(4)};
   imon::testing::Populate(&baseline_db, /*seed=*/11);
   auto baseline = RunAll(&baseline_db);
 
   for (size_t morsel_pages : {size_t{1}, size_t{1} << 20}) {
-    Database db{ParOpts(4, true, morsel_pages)};
+    Database db{ParOpts(4, morsel_pages)};
     imon::testing::Populate(&db, /*seed=*/11);
     auto got = RunAll(&db);
     for (size_t i = 0; i < std::size(kParallelQueries); ++i) {
@@ -208,7 +316,7 @@ TEST_F(ParallelScanTest, MorselSizeDoesNotChangeResults) {
 
 TEST_F(ParallelScanTest, EmptyTableAcrossWorkerCounts) {
   for (size_t workers : {1u, 4u}) {
-    Database db{ParOpts(workers, true, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     ASSERT_TRUE(db.Execute("CREATE TABLE empty_t (a INT, b TEXT)").ok());
     auto rows = db.Execute("SELECT a, b FROM empty_t WHERE a > 0");
     ASSERT_TRUE(rows.ok());
@@ -228,7 +336,7 @@ TEST_F(ParallelScanTest, EmptyTableAcrossWorkerCounts) {
 TEST_F(ParallelScanTest, MidScanErrorsAreDeterministic) {
   std::string serial_msg;
   for (size_t workers : {1u, 2u, 4u, 8u}) {
-    Database db{ParOpts(workers, /*compiled=*/false, /*morsel_pages=*/1)};
+    Database db{ParOpts(workers, /*morsel_pages=*/1)};
     imon::testing::Populate(&db, /*seed=*/7);
     auto r = db.Execute("SELECT id + tag FROM item");
     ASSERT_FALSE(r.ok()) << "workers=" << workers;
@@ -248,8 +356,8 @@ TEST_F(ParallelScanTest, RowsExaminedParityOnFullScans) {
   const char* q = "SELECT count(*) FROM item WHERE grp < 5";
   int64_t serial_examined = -1;
   for (size_t workers : {1u, 4u}) {
-    for (bool compiled : {false, true}) {
-      Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
+    for (size_t batch : {1u, 1024u}) {
+      Database db{ParOpts(workers, /*morsel_pages=*/1, batch)};
       imon::testing::Populate(&db, /*seed=*/7);
       auto r = db.Execute(q);
       ASSERT_TRUE(r.ok());
@@ -257,7 +365,7 @@ TEST_F(ParallelScanTest, RowsExaminedParityOnFullScans) {
         serial_examined = r->stats.rows_examined;
       } else {
         EXPECT_EQ(r->stats.rows_examined, serial_examined)
-            << "workers=" << workers << " compiled=" << compiled;
+            << "workers=" << workers << " batch=" << batch;
       }
     }
   }
@@ -273,8 +381,8 @@ TEST_F(ParallelScanTest, LimitZeroReturnsNoRows) {
       "SELECT grp, count(*) FROM item GROUP BY grp",
   };
   for (size_t workers : {1u, 4u}) {
-    for (bool compiled : {false, true}) {
-      Database db{ParOpts(workers, compiled, /*morsel_pages=*/1)};
+    for (size_t batch : {1u, 1024u}) {
+      Database db{ParOpts(workers, /*morsel_pages=*/1, batch)};
       imon::testing::Populate(&db, /*seed=*/7);
       for (const char* shape : shapes) {
         for (int limit : {0, 2}) {
@@ -283,7 +391,7 @@ TEST_F(ParallelScanTest, LimitZeroReturnsNoRows) {
           auto r = db.Execute(q);
           ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
           EXPECT_EQ(r->rows.size(), static_cast<size_t>(limit))
-              << q << " workers=" << workers << " compiled=" << compiled;
+              << q << " workers=" << workers << " batch=" << batch;
         }
       }
     }
@@ -294,7 +402,7 @@ TEST_F(ParallelScanTest, LimitZeroReturnsNoRows) {
 // each query fans out over the worker pool: the TSan target for the
 // whole scan path (shard locks, worker pool, per-lane scratch).
 TEST_F(ParallelScanTest, ConcurrentClientsOnSharedDatabase) {
-  Database db{ParOpts(4, true, /*morsel_pages=*/1)};
+  Database db{ParOpts(4, /*morsel_pages=*/1)};
   imon::testing::Populate(&db, /*seed=*/3);
   auto expected_r = db.Execute(
       "SELECT grp, count(*), sum(price) FROM item GROUP BY grp ORDER BY grp");
@@ -318,7 +426,7 @@ TEST_F(ParallelScanTest, ConcurrentClientsOnSharedDatabase) {
 }
 
 TEST_F(ParallelScanTest, ParallelCountersSurfaceInMetrics) {
-  Database db{ParOpts(2, true, /*morsel_pages=*/1)};
+  Database db{ParOpts(2, /*morsel_pages=*/1)};
   imon::testing::Populate(&db, /*seed=*/5);
   ASSERT_TRUE(db.Execute("SELECT count(*) FROM sale").ok());
 

@@ -265,6 +265,28 @@ TEST_F(ServerTest, PingEchoesAndQueriesRoundTrip) {
   EXPECT_TRUE(EventuallyTrue([&] { return server_->connections_open() == 0; }));
 }
 
+// An integer overflow is the statement's error, not a crash of the
+// server: the same connection and a new one are answered afterwards.
+TEST_F(ServerTest, IntegerOverflowLeavesServerAnswering) {
+  StartServer();
+  Client c = MustConnect();
+  ASSERT_TRUE(c.Execute("CREATE TABLE t (a INT)").ok());
+  ASSERT_TRUE(c.Execute("INSERT INTO t VALUES (-9223372036854775807)").ok());
+  for (const char* sql :
+       {"SELECT (a - 1) / -1 FROM t", "SELECT (a - 1) % -1 FROM t",
+        "UPDATE t SET a = (a - 1) / -1"}) {
+    auto r = c.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << sql;
+    EXPECT_TRUE(c.Ping().ok()) << sql;
+  }
+  Client other = MustConnect();
+  auto r = other.Execute("SELECT a FROM t");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->rows.size(), 1u);
+  EXPECT_EQ(r->rows[0][0].AsInt(), -9223372036854775807);
+}
+
 TEST_F(ServerTest, VersionMismatchIsRejectedWithErrorFrame) {
   StartServer();
   RawConn raw;
