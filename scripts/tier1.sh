@@ -348,11 +348,11 @@ if [[ "$run_tsan" == 1 ]]; then
   cmake --build build-tsan -j"$(nproc)" --target \
     monitor_test monitor_concurrency_test engine_test daemon_test fault_test \
     common_test ima_observability_test tuner_test exec_batch_test \
-    storage_test parallel_scan_test compression_test server_test
+    storage_test parallel_scan_test pipeline_test compression_test server_test
 
   echo "== tier-1: concurrency suites under TSan =="
   (cd build-tsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Monitor|MonitorConcurrency|Database|Differential|Daemon|Fault|Metrics|ImaObservability|Tuner|ExecBatch|ParallelScan|BufferPool|Compression|SamplingDeterminism|Log2Buckets|Server')
+    -R 'Monitor|MonitorConcurrency|Database|Differential|Daemon|Fault|Metrics|ImaObservability|Tuner|ExecBatch|ParallelScan|Pipeline|BufferPool|Compression|SamplingDeterminism|Log2Buckets|Server')
 
   echo "== tier-1: fault injection under TSan =="
   (cd build-tsan && ./tests/fault_test)

@@ -90,6 +90,7 @@ Database::Database(DatabaseOptions options)
   pool_->AttachMetrics(&metrics_);
   locks_.AttachMetrics(&metrics_);
   workers_->AttachMetrics(&metrics_);
+  exec_metrics_ = exec::ExecMetrics::Resolve(&metrics_);
   if (options_.plan_cache_capacity > 0) {
     for (size_t i = 0; i < kPlanCacheStripes; ++i) {
       std::string prefix = "plan_cache.stripe" + std::to_string(i);
@@ -392,7 +393,7 @@ Result<QueryResult> Database::RunPlannedSelect(const CachedPlan& planned,
   ctx.compiled = planned.compiled.get();
   ctx.workers = workers_.get();
   ctx.morsel_pages = options_.exec_morsel_pages;
-  ctx.metrics = &metrics_;
+  ctx.exec_metrics = &exec_metrics_;
   auto rs = exec::ExecuteSelect(bound, *planned.plan, &ctx);
   int64_t exec_nanos = MonotonicNanos() - exec_start;
   int64_t exec_io = DiskIoTotal(disk_->stats()) - io_before;
@@ -499,9 +500,14 @@ Result<Row> Database::BuildInsertRow(const sql::InsertStmt& stmt,
   }
 
   Row row(table.columns.size(), Value::Null());
+  // VALUES items see no table: binding against an empty FROM list turns
+  // a column reference into the binder's user-facing error.
+  Binder binder(&catalog_);
+  const std::vector<BoundTable> no_tables;
   OutputLayout empty;
   Row empty_row;
   for (size_t i = 0; i < exprs.size(); ++i) {
+    IMON_RETURN_IF_ERROR(binder.BindScalar(exprs[i].get(), no_tables));
     IMON_ASSIGN_OR_RETURN(exec::ExprProgram program,
                           exec::ExprProgram::Compile(*exprs[i], empty));
     Value v;

@@ -68,11 +68,12 @@ struct DatabaseOptions {
   /// benchmark driver (perfbench/src/bench.cc) assigns and prints every
   /// option; it goes with the next change to that driver (ROADMAP item 6).
   bool use_compiled_exprs = true;
-  /// Executor lanes for morsel-parallel scans (caller + persistent
-  /// workers) over every non-virtual access path — heap pages, B-Tree
-  /// and secondary-index leaves, hash buckets, ISAM chains — plus the
-  /// partitioned hash-join build. 1 = serial execution on the calling
-  /// thread. Results are identical for every worker count.
+  /// Executor lanes for morsel-driven pipelines (caller + persistent
+  /// workers): sources over every non-virtual access path — heap pages,
+  /// B-Tree and secondary-index leaves, hash buckets, ISAM chains —
+  /// streaming through the join probes, plus the hash-join build. 1 =
+  /// serial execution on the calling thread. Results are identical for
+  /// every worker count.
   size_t exec_workers = DefaultExecWorkers();
   /// Units per scan morsel (the parallel-scan work unit; pages for heap
   /// scans, leaves/buckets/chains for the other structures). Morsel
@@ -397,6 +398,8 @@ class Database {
   txn::LockManager locks_;
   std::unique_ptr<exec::StorageLayer> storage_;
   std::unique_ptr<exec::WorkerPool> workers_;
+  /// The executor's handles into metrics_, resolved once.
+  exec::ExecMetrics exec_metrics_;
   std::unique_ptr<monitor::Monitor> monitor_;
 
   std::mutex trigger_mutex_;

@@ -1,9 +1,11 @@
 // Query execution over physical plans.
 //
-// The executor is block-oriented: each plan node materializes its output
-// rows (the engine is in-memory; intermediate results are bounded by the
-// workloads we run). Per-statement runtime counters feed the monitor's
-// "actual costs" sensor.
+// A plan tree runs as push-based, morsel-driven pipelines: a source
+// scan's morsels flow through its filters and join probes into per-morsel
+// sinks, which merge in morsel-index order. Pipelines break only at hash
+// builds and nested-loop inners, which are gathered first, and at the
+// final sort (DESIGN.md §11). Per-statement runtime counters feed the
+// monitor's "actual costs" sensor.
 
 #ifndef IMON_EXEC_EXECUTOR_H_
 #define IMON_EXEC_EXECUTOR_H_
@@ -17,6 +19,8 @@
 #include "optimizer/plan.h"
 
 namespace imon::metrics {
+class Counter;
+class Gauge;
 class MetricsRegistry;
 }
 
@@ -29,6 +33,19 @@ class WorkerPool;
 /// page chain — never on the worker count — so merged results are
 /// bit-identical across worker counts.
 inline constexpr size_t kDefaultMorselPages = 32;
+
+/// Executor telemetry handles, resolved once from a registry so a scan
+/// bumps its counters without a name lookup: `exec.parallel_scans.
+/// <structure>` per source scan, `exec.morsels_total` by its morsel
+/// count and the `exec.morsel_lanes` gauge.
+struct ExecMetrics {
+  /// Indexed by StorageLayer::ScanPlan::Kind.
+  metrics::Counter* parallel_scans[5] = {};
+  metrics::Counter* morsels_total = nullptr;
+  metrics::Gauge* morsel_lanes = nullptr;
+
+  static ExecMetrics Resolve(metrics::MetricsRegistry* registry);
+};
 
 /// Per-statement execution counters.
 struct RuntimeStats {
@@ -47,15 +64,18 @@ struct ExecContext {
   /// same bound statement and plan. Required: every expression runs as a
   /// compiled program, and ExecuteSelect returns Internal when it is null.
   const CompiledSelect* compiled = nullptr;
-  /// Worker pool the morsels of every real-table scan (and the hash-join
-  /// build chunks) run on. Null means one inline lane, exactly like a
-  /// 1-lane pool: there is no separate serial path, so results are
-  /// identical across worker counts.
+  /// Worker pool the morsels of every pipeline (and the hash-join build
+  /// chunks) run on. Null means one inline lane, exactly like a 1-lane
+  /// pool: there is no separate serial path, so results are identical
+  /// across worker counts.
   WorkerPool* workers = nullptr;
   /// Pages per morsel for parallel scans.
   size_t morsel_pages = kDefaultMorselPages;
-  /// Registry for parallel-scan telemetry (`exec.morsels_total`,
-  /// `exec.morsel_lanes`, `exec.parallel_scans.<structure>`), or null.
+  /// Telemetry handles resolved when the engine attached its metrics, or
+  /// null.
+  const ExecMetrics* exec_metrics = nullptr;
+  /// Registry to resolve the handles from, once per statement, when
+  /// `exec_metrics` is null (callers without an engine); or null.
   metrics::MetricsRegistry* metrics = nullptr;
 };
 

@@ -481,24 +481,20 @@ Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
       switch (table.structure) {
         case StorageStructure::kHeap:
           plan.kind = ScanPlan::Kind::kHeapPages;
-          plan.structure = "heap";
           IMON_RETURN_IF_ERROR(HeapFor(table)->PageChain(&plan.units));
           break;
         case StorageStructure::kHash:
           plan.kind = ScanPlan::Kind::kHashBuckets;
-          plan.structure = "hash";
           plan.units.resize(HashFor(table)->buckets());
           std::iota(plan.units.begin(), plan.units.end(), 0u);
           break;
         case StorageStructure::kIsam:
           plan.kind = ScanPlan::Kind::kIsamChains;
-          plan.structure = "isam";
           IMON_RETURN_IF_ERROR(IsamFor(table)->RoutedChainHeads(
               std::string(), std::string(), &plan.units));
           break;
         case StorageStructure::kBtree:
           plan.kind = ScanPlan::Kind::kBtreeLeaves;
-          plan.structure = "btree";
           plan.tree = BtreeFor(table.file_id);
           // Default (all-pass) range; every leaf stays in the chain.
           IMON_RETURN_IF_ERROR(plan.tree->LeafChain(
@@ -512,7 +508,6 @@ Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
         return Status::Internal("primary range scan on non-BTREE table");
       }
       plan.kind = ScanPlan::Kind::kBtreeLeaves;
-      plan.structure = "btree";
       plan.tree = BtreeFor(table.file_id);
       IMON_ASSIGN_OR_RETURN(plan.range,
                             EncodeRange(PrimaryKeyTypes(table),
@@ -533,7 +528,6 @@ Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
         return Status::Internal("hash lookup requires the full key");
       }
       plan.kind = ScanPlan::Kind::kHashBuckets;
-      plan.structure = "hash";
       IMON_ASSIGN_OR_RETURN(EncodedRange key,
                             EncodeRange(types, access.eq_values, std::nullopt,
                                         std::nullopt));
@@ -545,7 +539,6 @@ Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
         return Status::Internal("ISAM range scan on non-ISAM table");
       }
       plan.kind = ScanPlan::Kind::kIsamChains;
-      plan.structure = "isam";
       std::string low, high;
       IMON_RETURN_IF_ERROR(EncodeIsamBounds(table, access.eq_values,
                                             access.lower, access.upper, &low,
@@ -559,7 +552,6 @@ Result<StorageLayer::ScanPlan> StorageLayer::BuildScan(
         return Status::Internal("virtual index has no storage to scan");
       }
       plan.kind = ScanPlan::Kind::kIndexLeaves;
-      plan.structure = "index";
       plan.tree = BtreeFor(access.index.file_id);
       IMON_ASSIGN_OR_RETURN(
           plan.range, EncodeRange(KeyTypes(table, access.index.key_columns),

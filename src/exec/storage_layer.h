@@ -109,7 +109,7 @@ class StorageLayer {
   /// visited in order, yields the same rows in the same order with the
   /// same early-stop set as one pass over every unit.
   struct ScanPlan {
-    enum class Kind {
+    enum class Kind {  // in exec::ExecMetrics::parallel_scans order
       kHeapPages,    ///< units: heap chain pages
       kBtreeLeaves,  ///< units: primary B-Tree leaf pages
       kHashBuckets,  ///< units: ascending contiguous bucket numbers
@@ -123,8 +123,6 @@ class StorageLayer {
     EncodedRange range;
     /// kBtreeLeaves / kIndexLeaves: the tree the leaf units belong to.
     storage::BTree* tree = nullptr;
-    /// Metrics label: "heap", "btree", "hash", "isam" or "index".
-    const char* structure = "heap";
   };
 
   /// Build the unit list for `access` over `table`. Virtual indexes have

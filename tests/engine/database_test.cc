@@ -514,8 +514,9 @@ TEST_F(DatabaseTest, IntegerOverflowIsAStatementError) {
   }
 }
 
-// INSERT VALUES items are compiled unbound: a scalar function with the
-// wrong number of arguments is a statement error, not a crash.
+// INSERT VALUES items are bound against no table, then compiled: a
+// scalar function with the wrong number of arguments is a statement
+// error, not a crash.
 TEST_F(DatabaseTest, InsertValuesCheckFunctionArity) {
   MustExec("CREATE TABLE t (a INT)");
   for (const char* sql : {"INSERT INTO t VALUES (abs())",
@@ -530,6 +531,23 @@ TEST_F(DatabaseTest, InsertValuesCheckFunctionArity) {
   QueryResult rows = MustExec("SELECT a FROM t");
   ASSERT_EQ(rows.rows.size(), 1u);
   EXPECT_EQ(rows.rows[0][0].AsInt(), 4);
+}
+
+// A column reference in INSERT VALUES has no table to resolve against:
+// the statement fails with the binder's NotFound, not an Internal error
+// from the compiler, and inserts nothing.
+TEST_F(DatabaseTest, InsertValuesColumnReferenceIsUnknownColumn) {
+  MustExec("CREATE TABLE t (a INT, b INT)");
+  for (const char* sql : {"INSERT INTO t VALUES (a, 1)",
+                          "INSERT INTO t (b) VALUES (t.a + 1)"}) {
+    auto r = db_.Execute(sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kNotFound) << sql;
+    EXPECT_NE(std::string(r.status().message()).find("unknown column"),
+              std::string::npos)
+        << r.status();
+  }
+  EXPECT_TRUE(MustExec("SELECT a FROM t").rows.empty());
 }
 
 // An UPDATE whose SET expression fails on its second row leaves both
@@ -816,6 +834,9 @@ void ExpectPinnedRowsExamined(Database* db) {
        "IndexNLJoin(inner BtreeScan)", 13, 13, 4},
       {"SELECT p.k, h.v FROM re_probe p JOIN re_big h ON p.k = h.grp",
        "IndexNLJoin(inner IndexScan via re_big_grp)", 21, 21, 8},
+      // Build 5 + probe scan 400 + 400 probes + 6 key matches.
+      {"SELECT p.k, h.v FROM re_probe p JOIN re_HEAP h ON p.k = h.grp",
+       "HashJoin(keys=1)", 811, 811, 6},
       // The whole bucket chain is examined, LIMIT or not.
       {"SELECT v FROM re_HASH WHERE id = 77", "HashLookup", 100, 100, 1},
       {"SELECT v FROM re_HASH WHERE id = 77 LIMIT 1", "HashLookup", 100, 100,
@@ -848,9 +869,9 @@ void ExpectPinnedRowsExamined(Database* db) {
 }
 
 // rows_examined feeds the monitor's actual-cost sensor. These statements
-// read through index-NL probes, a one-bucket hash unit list and DML
-// target collection on every structure; their counts are pinned so a
-// change of read path cannot move the sensor's input unnoticed.
+// read through index-NL probes, a hash join, a one-bucket hash unit list
+// and DML target collection on every structure; their counts are pinned
+// so a change of read path cannot move the sensor's input unnoticed.
 TEST(RowsExaminedTest, PinnedOnProbeAndDmlPaths) {
   Database db{DatabaseOptions{}};
   ExpectPinnedRowsExamined(&db);

@@ -154,6 +154,13 @@ struct LikeCase {
   bool match;
 };
 
+/// Names each case by its inputs, so test names (and the ctest names
+/// gtest_discover_tests derives from them) are the same in every build.
+void PrintTo(const LikeCase& c, std::ostream* os) {
+  *os << "text='" << c.text << "' pattern='" << c.pattern
+      << "' match=" << (c.match ? "true" : "false");
+}
+
 class LikeTest : public ::testing::TestWithParam<LikeCase> {};
 
 TEST_P(LikeTest, Matches) {
