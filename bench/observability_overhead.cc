@@ -3,9 +3,9 @@
 // Built twice by scripts/tier1.sh — once normally and once with
 // -DIMON_METRICS=OFF (IMON_METRICS_DISABLED) — and run in both trees on
 // the same fixed workload. The script compares the reported elapsed
-// seconds and fails when the instrumented build is more than 5 % slower
-// (env IMON_OVERHEAD_GATE_PCT overrides), continuously enforcing the
-// paper's Fig. 4 claim that in-engine monitoring stays cheap.
+// seconds and fails when the instrumented build is more than 5 % slower,
+// continuously enforcing the paper's Fig. 4 claim that in-engine
+// monitoring stays cheap.
 //
 // The workload is the monitor's worst case: high-rate primary-key point
 // selects (every statement commits, traces five stages, and touches the

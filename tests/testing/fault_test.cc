@@ -11,8 +11,9 @@
 //    no partial append (retry produces no duplicate seq); the monitor's
 //    seq integrity holds under concurrent load with faults firing.
 //
-// Custom main(): `fault_test --seed=N --iters=K`. tier-1 reruns this
-// binary under -DIMON_SANITIZE=thread (scripts/tier1.sh).
+// Custom main(): `fault_test --seed=N --iters=K`. ctest runs the cases
+// with the defaults (seed 42, 40 iterations), and scripts/tier1.sh runs
+// them again under -DIMON_SANITIZE=thread.
 
 #include <gtest/gtest.h>
 
