@@ -65,6 +65,25 @@ int64_t Log2Buckets::ValueAtPercentile(double p) const {
   return max;
 }
 
+void LockedHistogram::Merge(const LockedHistogram& other) {
+  buckets.Merge(other.buckets);
+  sum += other.sum;
+  last_update_micros = std::max(last_update_micros, other.last_update_micros);
+}
+
+HistogramStats LockedHistogram::Stats(std::string name) const {
+  HistogramStats s;
+  s.name = std::move(name);
+  s.count = buckets.count;
+  s.sum = sum;
+  s.max = buckets.max;
+  s.p50 = buckets.ValueAtPercentile(50.0);
+  s.p95 = buckets.ValueAtPercentile(95.0);
+  s.p99 = buckets.ValueAtPercentile(99.0);
+  s.last_update_micros = last_update_micros;
+  return s;
+}
+
 Counter* MetricsRegistry::GetCounter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
@@ -127,7 +146,24 @@ std::vector<HistogramStats> MetricsRegistry::SnapshotHistograms() const {
     s.last_update_micros = h->LastUpdateMicros();
     out.push_back(std::move(s));
   }
+  if (!histogram_sources_.empty()) {
+    for (const auto& weak : histogram_sources_) {
+      if (auto source = weak.lock()) (*source)(&out);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const HistogramStats& a, const HistogramStats& b) {
+                return a.name < b.name;
+              });
+  }
   return out;
+}
+
+void MetricsRegistry::AddHistogramSource(
+    std::weak_ptr<const HistogramSource> source) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  std::erase_if(histogram_sources_,
+                [](const auto& weak) { return weak.expired(); });
+  histogram_sources_.push_back(std::move(source));
 }
 
 }  // namespace imon::metrics

@@ -30,7 +30,9 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -145,12 +147,7 @@ class Histogram {
 
   static int BucketFor(int64_t value) {
     if (value <= 0) return 0;
-    int width = 0;
-    uint64_t v = static_cast<uint64_t>(value);
-    while (v != 0) {
-      ++width;
-      v >>= 1;
-    }
+    int width = std::bit_width(static_cast<uint64_t>(value));
     return width < kBuckets ? width : kBuckets - 1;
   }
 
@@ -207,6 +204,24 @@ struct HistogramStats {
   int64_t last_update_micros = 0;  ///< 0 until a RecordAt() lands
 };
 
+/// Histogram's data as plain integers, for a writer that already holds a
+/// lock: the monitor's commit shards keep their stage latencies in these
+/// and merge them on read (MetricsRegistry::AddHistogramSource).
+struct LockedHistogram {
+  Log2Buckets buckets;
+  int64_t sum = 0;
+  int64_t last_update_micros = 0;
+
+  void RecordAt(int64_t value, int64_t now_micros) {
+    buckets.Record(value);
+    sum += value;
+    last_update_micros = now_micros;
+  }
+  /// Sums the counts; the later of the two update stamps wins.
+  void Merge(const LockedHistogram& other);
+  HistogramStats Stats(std::string name) const;
+};
+
 /// Owner of all named metrics. Registration (name -> stable handle) is
 /// mutex-guarded; metric updates/reads through the handles never touch
 /// the registry again.
@@ -224,14 +239,23 @@ class MetricsRegistry {
 
   /// All counters + gauges, name-sorted (counters first per name map).
   std::vector<MetricValue> SnapshotValues() const;
-  /// All histograms with derived quantiles, name-sorted.
+  /// All histograms with derived quantiles, name-sorted, including those
+  /// the histogram sources add.
   std::vector<HistogramStats> SnapshotHistograms() const;
+
+  /// Histograms kept outside the registry: while the owner keeps
+  /// `source` alive, it appends their stats to every SnapshotHistograms.
+  /// The source runs under the registry mutex, so it must not call back
+  /// into the registry.
+  using HistogramSource = std::function<void(std::vector<HistogramStats>*)>;
+  void AddHistogramSource(std::weak_ptr<const HistogramSource> source);
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>, std::less<>> counters_;
   std::map<std::string, std::unique_ptr<Gauge>, std::less<>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
+  std::vector<std::weak_ptr<const HistogramSource>> histogram_sources_;
 };
 
 }  // namespace imon::metrics

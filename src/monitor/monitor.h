@@ -19,15 +19,17 @@
 // shares reproduce the paper's Fig. 5.
 //
 // Sensor calls mutate a caller-owned QueryTrace (no shared state, no
-// locks); only Commit takes a lock once per statement to publish into
-// the ring buffers, which IMA exposes as virtual tables.
+// locks); only Commit takes a lock once per statement to publish. A kept
+// statement is one workload-ring record carrying its stage spans and a
+// handle to its template's interned reference set; imp_references and
+// imp_traces expand those records into rows at scan time.
 //
 // Concurrency (DESIGN.md "Concurrency model"): the publish side is
 // SHARDED. The monitor owns N shards (power of two; default: hardware
-// concurrency), each with its own mutex, workload/references rings,
-// statement registry and frequency maps. Commit hashes the committing
-// session id to a shard and takes only that shard's lock, so concurrent
-// sessions publish in parallel. A single global atomic `next_seq_`
+// concurrency), each with its own mutex, workload ring, statement
+// registry, reference sets and latency histograms. Commit hashes the
+// committing session id to a shard and takes only that shard's lock, so
+// concurrent sessions publish in parallel. A single global atomic `next_seq_`
 // allocates sequence numbers, preserving the total order that the
 // daemon's incremental `Snapshot*Since(seq)` polling relies on; the
 // snapshot API performs a k-way merge by seq across shards while
@@ -54,6 +56,7 @@
 #include "common/hash.h"
 #include "common/metrics.h"
 #include "monitor/ring_buffer.h"
+#include "monitor/statement_registry.h"
 
 namespace imon::monitor {
 
@@ -64,7 +67,11 @@ struct MonitorConfig {
   /// "By default, the monitoring can capture up to 1000 different
   /// statements until the buffer wraps around."
   size_t statement_window = 1000;
+  /// Kept statements per shard. imp_references and imp_traces show the
+  /// rows of exactly these records, so this window bounds them too.
   size_t workload_window = 4000;
+  /// Unread: references are retained with their workload records. Kept
+  /// only because perfbench assigns it (ROADMAP item 6 deletes it).
   size_t references_window = 16000;
   size_t statistics_window = 4096;
   /// Sample system statistics every N committed statements (0 = only on
@@ -82,8 +89,8 @@ struct MonitorConfig {
   /// bench/micro_concurrent demonstrate shard-lock serialization even on
   /// a single-core host. 0 = off (production).
   int64_t commit_stall_nanos = 0;
-  /// Per-shard stage-trace ring capacity (imp_traces / trace export).
-  /// 0 disables stage tracing even when metrics are compiled in.
+  /// Unread: stage spans are retained with their workload records. Kept
+  /// only because perfbench assigns and prints it (ROADMAP item 6).
   size_t trace_window = 4096;
   /// Per-shard bound on the compressed-template registry (distinct
   /// statement shapes, not executions — compression keeps this small by
@@ -119,11 +126,12 @@ struct StageSpan {
   int64_t duration_nanos = 0;
 };
 
-/// One stage of one statement execution, published into the per-shard
-/// trace ring at Commit. Exposed as imp_traces and convertible to Chrome
-/// trace events (monitor/trace_export.h). Trace seqs come from their own
-/// global counter — the workload/references seq domain stays dense (one
-/// block per commit), which tests assert on.
+/// One stage of one statement execution: a row that SnapshotTraces
+/// expands from a kept workload record. Exposed as imp_traces and
+/// convertible to Chrome trace events (monitor/trace_export.h). Trace
+/// seqs come from their own global counter, claimed at Commit — the
+/// workload/references seq domain stays dense (one block per commit),
+/// which tests assert on.
 struct TraceRecord {
   int64_t seq = 0;
   uint64_t hash = 0;
@@ -138,24 +146,14 @@ struct ShardStats {
   int64_t shard = 0;
   int64_t statements_committed = 0;
   int64_t workload_dropped = 0;    ///< workload ring overwrites
-  int64_t references_dropped = 0;  ///< references ring overwrites
-  int64_t traces_dropped = 0;      ///< trace ring overwrites
+  /// Reference and stage-trace rows lost with the overwritten records.
+  int64_t references_dropped = 0;
+  int64_t traces_dropped = 0;
   int64_t workload_sampled_out = 0;  ///< raw records skipped by the sampler
   int64_t monitor_nanos = 0;       ///< sensor self-cost via this shard
 };
 
 // -- records mirroring the paper's Fig. 3 schema -----------------------------
-
-struct StatementRecord {
-  uint64_t hash = 0;
-  std::string text;
-  int64_t frequency = 0;
-  int64_t first_seen_micros = 0;
-  int64_t last_seen_micros = 0;
-  /// Bumped every time the record changes (insert or frequency update),
-  /// from its own seq domain; lets the daemon poll only changed rows.
-  int64_t seq = 0;
-};
 
 enum class RefType { kTable = 0, kAttribute = 1, kIndex = 2, kUsedIndex = 3 };
 
@@ -472,11 +470,12 @@ class Monitor {
   // -- adaptive workload sampling ---------------------------------------------
 
   /// Fraction of commits whose raw records (statement registry, workload
-  /// + reference rings, traces) are kept, in parts-per-million. Template
-  /// aggregates and object frequency maps always see every commit. The
-  /// daemon lowers this under flush pressure and restores it when the
-  /// backlog drains; the keep decision is a deterministic hash of
-  /// (sample_seed, fingerprint, per-template arrival ordinal).
+  /// record with its references and stage spans) are kept, in
+  /// parts-per-million. Template aggregates and object frequencies
+  /// always see every commit. The daemon lowers this under flush
+  /// pressure and restores it when the backlog drains; the keep decision
+  /// is a deterministic hash of (sample_seed, fingerprint, per-template
+  /// arrival ordinal).
   void SetWorkloadSampleRate(uint32_t ppm) {
     sample_rate_ppm_.store(ppm > kSampleAllPpm ? kSampleAllPpm : ppm,
                            std::memory_order_relaxed);
@@ -485,8 +484,9 @@ class Monitor {
     return sample_rate_ppm_.load(std::memory_order_relaxed);
   }
 
-  /// Incremental snapshots: records with seq > min_seq, copying only the
-  /// new tail of each shard's ring (the daemon's poll path). All shard
+  /// Incremental snapshots: rows with seq > min_seq, visiting only the
+  /// new tail of each shard's ring (the daemon's poll path); a cursor may
+  /// fall inside one record's block of reference or trace rows. All shard
   /// locks are held across the collection, so the merged view never
   /// retroactively grows below its maximum returned seq.
   std::vector<WorkloadRecord> SnapshotWorkloadSince(int64_t min_seq) const;
@@ -497,29 +497,30 @@ class Monitor {
   /// current rows, not history.
   std::vector<StatementRecord> SnapshotStatementsSince(int64_t min_seq) const;
 
-  /// Stage traces (imp_traces), merged across shards in trace-seq order.
+  /// Stage traces (imp_traces): one row per marked stage of each kept
+  /// record, merged across shards in trace-seq order.
   std::vector<TraceRecord> SnapshotTraces() const;
   std::vector<TraceRecord> SnapshotTracesSince(int64_t min_seq) const;
 
   /// Per-shard commit/drop counters (one imp_monitor row per shard).
   std::vector<ShardStats> ShardStatsSnapshot() const;
 
-  /// Hook the engine's metrics registry: Commit then feeds per-stage
-  /// latency histograms (`stage.<name>.nanos`) and
-  /// `statement.wallclock_nanos`. Call before concurrent commits start
-  /// (the engine attaches at construction); null detaches.
+  /// Show the per-stage latency histograms (`stage.<name>.nanos`) and
+  /// `statement.wallclock_nanos` in `registry`'s SnapshotHistograms
+  /// (imp_stage_latency, the metrics history). Commit keeps them per
+  /// shard; the registry merges them on read. Null detaches.
   void AttachMetrics(metrics::MetricsRegistry* registry);
 
-  /// Access frequency counters (monitor-maintained, unbounded per-shard
-  /// maps keyed by object id, merged on read; cleared with the rings).
+  /// Access frequencies, counted per execution: the executions of each
+  /// live reference set plus what retired sets folded into per-shard
+  /// residual maps, merged on read; cleared with the rings.
   std::map<ObjectId, int64_t> TableFrequencies() const;
   std::map<std::pair<ObjectId, int>, int64_t> AttributeFrequencies() const;
   std::map<ObjectId, int64_t> IndexFrequencies() const;
 
   MonitorCounters counters() const;
-  int64_t statements_executed() const {
-    return statements_executed_.load(std::memory_order_relaxed);
-  }
+  /// Commits since construction, sampled out or kept.
+  int64_t statements_executed() const;
   int64_t max_sessions_seen() const {
     return max_sessions_seen_.load(std::memory_order_relaxed);
   }
@@ -544,40 +545,92 @@ class Monitor {
 #endif
   }
 
+  /// The tables, attributes and available indexes a template binds,
+  /// interned per shard: a template keeps its current set, and a commit
+  /// binding the same ids shares it, so a catalog change simply starts a
+  /// new set. Immutable once built but for its counts (shard lock).
+  struct RefSet {
+    std::vector<ObjectId> tables;
+    std::vector<std::pair<ObjectId, int>> attributes;
+    std::vector<ObjectId> indexes;
+    /// Commits that bound this set, sampled out or kept: each table and
+    /// attribute's frequency share.
+    int64_t executions = 0;
+    /// (index, commits that used it) over those commits.
+    std::vector<std::pair<ObjectId, int64_t>> used;
+    /// Kept records pointing here, plus one while a template's current
+    /// set; at zero the set retires into the residual maps.
+    int64_t holders = 0;
+
+    size_t rows() const {
+      return tables.size() + attributes.size() + indexes.size();
+    }
+  };
+
+  /// A kept statement: its imp_workload row plus what expands into its
+  /// imp_references rows (seq + 1.. : the set's rows, then used indexes)
+  /// and its imp_traces rows (trace_seq.. : one per marked stage).
+  struct KeptRecord {
+    WorkloadRecord row;
+    RefSet* refs = nullptr;
+    int64_t session_id = 0;
+    int64_t trace_seq = 0;
+    int64_t mono_start_nanos = 0;
+    std::array<StageSpan, kNumStages> stages{};
+
+    int64_t reference_rows() const {
+      return static_cast<int64_t>(refs->rows() + row.used_indexes.size());
+    }
+    int64_t trace_rows() const {
+      int64_t marked = 0;
+      for (const StageSpan& span : stages) marked += span.start_nanos != 0;
+      return marked;
+    }
+    /// Append the rows with seq > min_seq.
+    void AppendReferences(int64_t min_seq,
+                          std::vector<ReferenceRecord>* out) const;
+    void AppendTraces(int64_t min_seq, std::vector<TraceRecord>* out) const;
+  };
+
+  struct TemplateEntry {
+    TemplateRecord record;
+    RefSet* refs = nullptr;  ///< current set
+  };
+
+  /// Latency histograms: one per stage, then the statement wallclock.
+  static constexpr int kWallclockHistogram = kNumStages;
+  using LatencyHistograms =
+      std::array<metrics::LockedHistogram, kNumStages + 1>;
+
   /// Everything one commit touches, behind one mutex.
   struct Shard {
-    Shard(size_t statement_window, size_t workload_window,
-          size_t references_window, size_t trace_window)
-        : statement_arrivals(statement_window),
-          workload(workload_window),
-          references(references_window),
-          traces(trace_window) {}
+    Shard(size_t statement_window, size_t workload_window)
+        : statements(statement_window), workload(workload_window) {}
 
     mutable std::mutex mutex;
-    /// Statement registry, bounded to statement_window entries. A new
-    /// statement at capacity takes over the evicted entry's node and text
-    /// buffer, so registry churn allocates nothing.
-    std::unordered_map<uint64_t, StatementRecord> statements;
-    /// Arrival order of registry hashes, one per entry: once full, the
-    /// slot the next arrival overwrites names the entry to evict.
-    RingBuffer<uint64_t> statement_arrivals;
+    StatementRegistry statements;
     /// Compressed-template registry (fingerprint -> rolling aggregate),
-    /// bounded to template_window with the same FIFO eviction scheme.
-    std::unordered_map<uint64_t, TemplateRecord> templates;
+    /// bounded to template_window with FIFO eviction.
+    std::unordered_map<uint64_t, TemplateEntry> templates;
     std::deque<uint64_t> template_arrivals;
-    /// Commits whose raw records the sampler skipped via this shard.
-    int64_t workload_sampled_out = 0;
-    RingBuffer<WorkloadRecord> workload;
-    RingBuffer<ReferenceRecord> references;
-    RingBuffer<TraceRecord> traces;
-    /// Commits published via this shard + their sensor self-cost
-    /// (imp_monitor per-shard rows).
-    int64_t committed = 0;
-    int64_t monitor_nanos = 0;
-
+    RingBuffer<KeptRecord> workload;
+    /// Every set this shard built; those with no holders are free and
+    /// listed in free_sets for reuse.
+    std::vector<std::unique_ptr<RefSet>> ref_sets;
+    std::vector<RefSet*> free_sets;
+    /// Frequencies folded in from retired sets.
     std::unordered_map<ObjectId, int64_t> table_freq;
     std::unordered_map<AttrKey, int64_t, AttrKeyHash> attr_freq;
     std::unordered_map<ObjectId, int64_t> index_freq;
+    LatencyHistograms latency;
+
+    /// imp_monitor counters. Written only under the mutex; atomic so
+    /// statements_executed() can sum them without it.
+    std::atomic<int64_t> committed{0};
+    std::atomic<int64_t> sampled_out{0};
+    std::atomic<int64_t> monitor_nanos{0};
+    int64_t references_dropped = 0;
+    int64_t traces_dropped = 0;
   };
 
   Shard& ShardFor(int64_t session_id) const {
@@ -593,6 +646,22 @@ class Monitor {
   /// Insert `trace`'s statement into the shard's registry or bump its
   /// row. Caller holds the shard lock.
   void RegisterStatement(Shard& shard, const QueryTrace& trace);
+
+  /// The template's current reference set, replaced by a new one when
+  /// the trace bound different ids. Caller holds the shard lock.
+  static RefSet* CurrentRefSet(Shard& shard, TemplateEntry& entry,
+                               const QueryTrace& trace);
+  /// Drop one holder of `refs`; the last one folds its counts into the
+  /// shard's residual maps and frees the set for reuse.
+  static void ReleaseRefSet(Shard& shard, RefSet* refs);
+
+  /// Under every shard lock, `collect(ring, &run)` builds one seq-ordered
+  /// run per shard's workload ring; the runs are k-way merged by seq.
+  template <typename Rec, typename Collect>
+  std::vector<Rec> CollectShards(Collect collect) const;
+
+  /// The merged latency histograms as named stats (the registry source).
+  void AppendLatencyStats(std::vector<metrics::HistogramStats>* out) const;
 
   MonitorConfig config_;
   const Clock* clock_;
@@ -613,18 +682,16 @@ class Monitor {
   /// See incarnation(); assigned from a process-wide counter.
   uint64_t incarnation_ = 0;
 
-  /// Stage/wallclock histograms in the attached registry (null = not
-  /// attached). Set once at engine construction, before commits run.
-  std::array<metrics::Histogram*, kNumStages> stage_hist_{};
-  metrics::Histogram* wallclock_hist_ = nullptr;
+  /// The registry source showing the latency histograms; replacing or
+  /// destroying it detaches the monitor from that registry.
+  std::shared_ptr<const metrics::MetricsRegistry::HistogramSource>
+      latency_source_;
 
   mutable std::mutex stats_mutex_;
   RingBuffer<StatisticsRecord> statistics_;
   int64_t next_stats_seq_ = 1;
 
-  std::atomic<int64_t> statements_executed_{0};
   std::atomic<int64_t> max_sessions_seen_{0};
-  std::atomic<int64_t> total_monitor_nanos_{0};
   std::atomic<int64_t> since_last_sample_{0};
 };
 

@@ -32,7 +32,7 @@ class RingBuffer {
   T& PushSlot() {
     if (items_.size() < capacity_) return items_.emplace_back();
     T& slot = items_[head_];
-    head_ = (head_ + 1) % capacity_;
+    if (++head_ == capacity_) head_ = 0;
     ++overwritten_;
     return slot;
   }
@@ -42,6 +42,12 @@ class RingBuffer {
   bool full() const { return items_.size() == capacity_; }
   /// Entries lost to wrap-around since construction.
   int64_t overwritten() const { return overwritten_; }
+
+  /// The i-th entry in arrival order (0 = oldest), i < size().
+  const T& operator[](size_t i) const {
+    size_t at = head_ + i;
+    return items_[at < items_.size() ? at : at - items_.size()];
+  }
 
   /// Copy out in arrival order (oldest first).
   std::vector<T> Snapshot() const {

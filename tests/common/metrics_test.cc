@@ -78,6 +78,26 @@ TEST(MetricsTest, HistogramBucketIsBitWidth) {
             Histogram::kBuckets - 1);
 }
 
+/// The bit-by-bit loop BucketFor used before std::bit_width.
+int LoopBucketFor(int64_t value) {
+  if (value <= 0) return 0;
+  int width = 0;
+  for (uint64_t v = static_cast<uint64_t>(value); v != 0; v >>= 1) ++width;
+  return width < Histogram::kBuckets ? width : Histogram::kBuckets - 1;
+}
+
+TEST(MetricsTest, HistogramBucketMatchesBitLoopAtPowerEdges) {
+  std::vector<int64_t> values = {0, 1, std::numeric_limits<int64_t>::max()};
+  for (int k = 1; k < 63; ++k) {
+    int64_t power = int64_t{1} << k;
+    values.push_back(power - 1);
+    values.push_back(power);
+  }
+  for (int64_t v : values) {
+    EXPECT_EQ(Histogram::BucketFor(v), LoopBucketFor(v)) << v;
+  }
+}
+
 TEST(MetricsTest, HistogramCountSumMaxAndQuantiles) {
   Histogram h;
   for (int64_t v = 1; v <= 100; ++v) h.Record(v);

@@ -716,6 +716,39 @@ TEST_F(DatabaseTest, StatementNestedInAlertHandlerCommitsBothTraces) {
 #endif
 }
 
+TEST_F(DatabaseTest, CreateIndexBetweenExecutionsKeepsOldReferenceRows) {
+  MustExec("CREATE TABLE t (a INT PRIMARY KEY, b INT)");
+  MustExec("INSERT INTO t VALUES (1, 10), (2, 20)");
+  const std::string before = "SELECT a FROM t WHERE b = 10";
+  const std::string after = "SELECT a FROM t WHERE b = 20";
+  MustExec(before);
+  MustExec("CREATE INDEX t_b ON t (b)");
+  MustExec(after);
+
+  auto table = db_.catalog()->GetTable("t");
+  ASSERT_TRUE(table.ok());
+  std::set<int64_t> all_indexes;
+  for (const auto& index : db_.catalog()->IndexesOnTable(table->id)) {
+    all_indexes.insert(index.id);
+  }
+  ASSERT_EQ(all_indexes.size(), 2u);
+  // Both statements share a template; each keeps the available indexes
+  // its own execution saw.
+  std::map<uint64_t, std::set<int64_t>> available;
+  int64_t table_rows = 0;
+  for (const auto& ref : db_.monitor()->SnapshotReferences()) {
+    if (ref.type == monitor::RefType::kIndex) {
+      available[ref.hash].insert(ref.object_id);
+    }
+    table_rows += ref.type == monitor::RefType::kTable &&
+                  ref.object_id == table->id;
+  }
+  EXPECT_EQ(available[HashStatement(before)].size(), 1u);
+  EXPECT_EQ(available[HashStatement(after)], all_indexes);
+  // Every record is retained, so frequencies equal the reference rows.
+  EXPECT_EQ(db_.monitor()->TableFrequencies()[table->id], table_rows);
+}
+
 TEST_F(DatabaseTest, StatementNestedInAlertHandlerJoinsOuterTransaction) {
   MustExec("CREATE TABLE metrics (sessions INT)");
   MustExec("CREATE TABLE audit (v INT PRIMARY KEY)");

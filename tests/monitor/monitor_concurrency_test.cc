@@ -34,7 +34,6 @@ MonitorConfig BigWindows(size_t shards) {
   config.shards = shards;
   config.statement_window = 100000;
   config.workload_window = 100000;
-  config.references_window = 400000;
   config.stats_sample_every = 0;
   return config;
 }
@@ -164,13 +163,13 @@ TEST(MonitorConcurrencyTest, TemplateCreationRacesOnOneShard) {
 }
 
 TEST(MonitorConcurrencyTest, ShardStatsAccountForCommitsAndDrops) {
-  // Tiny windows force ring wrap-around; the per-shard saturation
-  // counters (imp_monitor rows) must account for exactly what the
-  // merged snapshots lost.
+  // A tiny workload window forces ring wrap-around; the per-shard
+  // saturation counters (imp_monitor rows) must account for exactly what
+  // the merged snapshots lost. References and stage traces are retained
+  // with their statement's record, so the window is in statements for
+  // all three, and their drops are the rows of the overwritten records.
   MonitorConfig config = BigWindows(4);
   config.workload_window = 8;
-  config.references_window = 8;
-  config.trace_window = 8;
 
   constexpr int kThreads = 4;
   constexpr int64_t kCommits = 500;
@@ -202,20 +201,29 @@ TEST(MonitorConcurrencyTest, ShardStatsAccountForCommitsAndDrops) {
   // Every commit the retained windows cannot hold is accounted as a
   // drop — no record vanishes without being counted.
   EXPECT_GT(workload_dropped, 0);
-  EXPECT_EQ(workload_dropped,
-            kTotal - static_cast<int64_t>(m.SnapshotWorkload().size()));
-  EXPECT_EQ(references_dropped,
-            kTotal * (kSeqsPerCommit - 1) -
-                static_cast<int64_t>(m.SnapshotReferences().size()));
+  const int64_t retained = static_cast<int64_t>(m.SnapshotWorkload().size());
+  int64_t window_total = 0;
+  for (const ShardStats& s : stats) {
+    window_total += std::min<int64_t>(s.statements_committed, 8);
+  }
+  EXPECT_EQ(retained, window_total);
+  EXPECT_EQ(workload_dropped, kTotal - retained);
+  EXPECT_EQ(static_cast<int64_t>(m.SnapshotReferences().size()),
+            retained * (kSeqsPerCommit - 1));
+  EXPECT_EQ(references_dropped, workload_dropped * (kSeqsPerCommit - 1));
   // The aggregate view agrees with the per-shard accounting.
   EXPECT_EQ(m.counters().statements_dropped, workload_dropped);
 
-#ifndef IMON_METRICS_DISABLED
-  // Stage tracing saturates its own ring the same way (5 spans per
-  // commit into a window of 8).
   int64_t traces_dropped = 0;
   for (const ShardStats& s : stats) traces_dropped += s.traces_dropped;
-  EXPECT_GT(traces_dropped, 0);
+#ifndef IMON_METRICS_DISABLED
+  // Five stage rows per statement, retained and dropped alike.
+  EXPECT_EQ(static_cast<int64_t>(m.SnapshotTraces().size()),
+            retained * kNumStages);
+  EXPECT_EQ(traces_dropped, workload_dropped * kNumStages);
+#else
+  EXPECT_TRUE(m.SnapshotTraces().empty());
+  EXPECT_EQ(traces_dropped, 0);
 #endif
 
   // Clear() empties the windows but never resets the saturation

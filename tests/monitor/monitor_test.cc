@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <random>
 #include <thread>
+#include <unordered_map>
 
 #include "sql/normalizer.h"
 
@@ -13,7 +17,6 @@ MonitorConfig SmallConfig() {
   MonitorConfig c;
   c.statement_window = 4;
   c.workload_window = 8;
-  c.references_window = 16;
   c.statistics_window = 8;
   c.stats_sample_every = 0;
   return c;
@@ -364,6 +367,191 @@ TEST(MonitorTest, SamplingIsDeterministicPerSeed) {
   };
   EXPECT_EQ(run(7), run(7));
   EXPECT_NE(run(7), run(8));
+}
+
+TEST(MonitorTest, TiedFirstSeenStatementsOrderByHash) {
+  SimulatedClock clock(5000);
+  Monitor m(SmallConfig(), &clock);
+  const std::vector<std::string> texts = {"SELECT b", "SELECT c", "SELECT a"};
+  for (const std::string& text : texts) RunStatement(&m, text);
+  std::vector<uint64_t> expected;
+  for (const std::string& text : texts) expected.push_back(HashStatement(text));
+  std::sort(expected.begin(), expected.end());
+  std::vector<uint64_t> got;
+  for (const auto& s : m.SnapshotStatements()) {
+    EXPECT_EQ(s.first_seen_micros, 5000);
+    got.push_back(s.hash);
+  }
+  EXPECT_EQ(got, expected);
+}
+
+TEST(MonitorTest, ReferencesSinceCursorInsideARecordsBlock) {
+  Monitor m(SmallConfig(), RealClock::Instance());
+  RunStatement(&m, "q1");  // workload seq 1, references 2-5
+  RunStatement(&m, "q2");  // workload seq 6, references 7-10
+  std::vector<ReferenceRecord> tail = m.SnapshotReferencesSince(3);
+  ASSERT_EQ(tail.size(), 6u);
+  EXPECT_EQ(tail[0].seq, 4);
+  EXPECT_EQ(tail[0].type, RefType::kIndex);
+  EXPECT_EQ(tail[0].hash, HashStatement("q1"));
+  EXPECT_EQ(tail[1].type, RefType::kUsedIndex);
+  EXPECT_EQ(tail[2].seq, 7);
+  EXPECT_EQ(tail[2].type, RefType::kTable);
+  EXPECT_EQ(tail[2].hash, HashStatement("q2"));
+  // The workload record's own seq is not a reference row.
+  tail = m.SnapshotReferencesSince(5);
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail[0].seq, 7);
+  EXPECT_EQ(m.SnapshotReferencesSince(9).size(), 1u);
+  EXPECT_TRUE(m.SnapshotReferencesSince(10).empty());
+}
+
+/// One statement of template "SELECT a FROM t WHERE id = ?" binding
+/// table 1, attribute (1, 0) and the given available indexes.
+void RunBound(Monitor* m, int id, const std::vector<ObjectId>& indexes,
+              const std::vector<ObjectId>& used) {
+  QueryTrace trace;
+  m->OnQueryStart(&trace);
+  m->OnParseComplete(&trace, "SELECT a FROM t WHERE id = " + std::to_string(id));
+  m->OnBindComplete(&trace, std::vector<ObjectId>{1},
+                    std::vector<std::pair<ObjectId, int>>{{1, 0}}, indexes);
+  m->OnOptimizeComplete(&trace, 1.0, 1.0, used, 100, 0);
+  m->OnExecuteComplete(&trace, 1000, 2, 2.0, 10, 3);
+  m->Commit(&trace);
+}
+
+std::vector<ObjectId> AvailableIndexes(const Monitor& m, uint64_t hash) {
+  std::vector<ObjectId> out;
+  for (const auto& r : m.SnapshotReferences()) {
+    if (r.hash == hash && r.type == RefType::kIndex) out.push_back(r.object_id);
+  }
+  return out;
+}
+
+TEST(MonitorTest, ReferenceSetChangeKeepsOldRecordsAndFrequencies) {
+  MonitorConfig config = SmallConfig();
+  config.workload_window = 3;
+  Monitor m(config, RealClock::Instance());
+  RunBound(&m, 1, {7}, {7});
+  RunBound(&m, 2, {7}, {});
+  RunBound(&m, 3, {7, 9}, {9});  // an index appeared in between
+  EXPECT_EQ(AvailableIndexes(m, HashStatement("SELECT a FROM t WHERE id = 1")),
+            std::vector<ObjectId>{7});
+  EXPECT_EQ(AvailableIndexes(m, HashStatement("SELECT a FROM t WHERE id = 3")),
+            (std::vector<ObjectId>{7, 9}));
+  EXPECT_EQ(m.TableFrequencies()[1], 3);
+  EXPECT_EQ((m.AttributeFrequencies()[{1, 0}]), 3);
+  EXPECT_EQ(m.IndexFrequencies(), (std::map<ObjectId, int64_t>{{7, 1}, {9, 1}}));
+
+  // Overwriting the old set's records retires it; its counts stay.
+  for (int id = 4; id < 8; ++id) RunBound(&m, id, {7, 9}, {7});
+  for (const auto& w : m.SnapshotWorkload()) {
+    EXPECT_EQ(AvailableIndexes(m, w.hash), (std::vector<ObjectId>{7, 9}));
+  }
+  EXPECT_EQ(m.TableFrequencies()[1], 7);
+  EXPECT_EQ((m.AttributeFrequencies()[{1, 0}]), 7);
+  EXPECT_EQ(m.IndexFrequencies(), (std::map<ObjectId, int64_t>{{7, 5}, {9, 1}}));
+
+  // A set that comes back is a new set; counts still add up.
+  RunBound(&m, 8, {7}, {7});
+  EXPECT_EQ(m.TableFrequencies()[1], 8);
+  EXPECT_EQ(m.IndexFrequencies()[7], 6);
+  m.Clear();
+  EXPECT_TRUE(m.TableFrequencies().empty());
+  EXPECT_TRUE(m.IndexFrequencies().empty());
+}
+
+TEST(MonitorTest, RegistryChurnMatchesArrivalOrderModel) {
+  // The registry against a model of its contract: one row per hash,
+  // evicting the earliest first arrival at the window, re-executions
+  // bumping frequency and change stamp in place.
+  MonitorConfig config = SmallConfig();  // statement window 4
+  config.workload_window = 64;
+  SimulatedClock clock(1);
+  Monitor m(config, &clock);
+  struct Row {
+    int64_t frequency, first_seen, last_seen, seq;
+  };
+  std::unordered_map<uint64_t, Row> model;
+  std::deque<uint64_t> arrivals;
+  std::mt19937 rng(7);
+  int64_t stamp = 0;
+  for (int i = 0; i < 400; ++i) {
+    clock.AdvanceMicros(static_cast<int64_t>(rng() % 3));
+    std::string text = "SELECT a FROM t WHERE id = " + std::to_string(rng() % 9);
+    uint64_t hash = HashStatement(text);
+    RunStatement(&m, text);
+    ++stamp;
+    auto it = model.find(hash);
+    if (it != model.end()) {
+      it->second.frequency += 1;
+      it->second.last_seen = clock.NowMicros();
+      it->second.seq = stamp;
+      continue;
+    }
+    if (arrivals.size() == 4) {
+      model.erase(arrivals.front());
+      arrivals.pop_front();
+    }
+    arrivals.push_back(hash);
+    model[hash] = {1, clock.NowMicros(), clock.NowMicros(), stamp};
+
+    std::vector<StatementRecord> rows = m.SnapshotStatements();
+    ASSERT_EQ(rows.size(), model.size()) << i;
+    for (const StatementRecord& r : rows) {
+      auto expect = model.find(r.hash);
+      ASSERT_NE(expect, model.end()) << i;
+      EXPECT_EQ(HashStatement(r.text), r.hash);
+      EXPECT_EQ(r.frequency, expect->second.frequency);
+      EXPECT_EQ(r.first_seen_micros, expect->second.first_seen);
+      EXPECT_EQ(r.last_seen_micros, expect->second.last_seen);
+      EXPECT_EQ(r.seq, expect->second.seq);
+    }
+  }
+}
+
+TEST(StatementRegistryTest, CollidingHashesSurviveEviction) {
+  // Hashes whose home is one of the index's last two or first bucket
+  // (its top five bits after the Fibonacci multiply; 32 buckets for a
+  // window of 16): long probe runs that wrap around the end, so
+  // eviction's backward shift is exercised; checked against a map.
+  StatementRegistry registry(16);
+  std::mt19937_64 rng(11);
+  std::vector<uint64_t> pool;
+  while (pool.size() < 48) {
+    uint64_t h = rng();
+    uint64_t home = (h * 0x9e3779b97f4a7c15ULL) >> 59;
+    if (home == 0 || home >= 30) pool.push_back(h);
+  }
+  std::unordered_map<uint64_t, int64_t> model;
+  std::deque<uint64_t> arrivals;
+  for (int i = 0; i < 5000; ++i) {
+    uint64_t hash = pool[rng() % pool.size()];
+    if (StatementRecord* row = registry.Find(hash)) {
+      ASSERT_TRUE(model.count(hash)) << i;
+      row->frequency += 1;
+      model[hash] += 1;
+      continue;
+    }
+    ASSERT_FALSE(model.count(hash)) << i;
+    if (arrivals.size() == 16) {
+      model.erase(arrivals.front());
+      arrivals.pop_front();
+    }
+    arrivals.push_back(hash);
+    model[hash] = 1;
+    StatementRecord& row = registry.Insert(hash);
+    row.frequency = 1;
+    for (const auto& [h, freq] : model) {
+      StatementRecord* found = registry.Find(h);
+      ASSERT_NE(found, nullptr) << i;
+      EXPECT_EQ(found->hash, h);
+      EXPECT_EQ(found->frequency, freq);
+    }
+  }
+  registry.Clear();
+  EXPECT_TRUE(registry.rows().empty());
+  EXPECT_EQ(registry.Find(arrivals.back()), nullptr);
 }
 
 TEST(RingBufferTest, BasicPushAndWrap) {

@@ -101,10 +101,12 @@ TEST(MonitorTraceTest, TraceWindowCountsStageRowsNotStatements) {
 #ifdef IMON_METRICS_DISABLED
   GTEST_SKIP() << "metrics layer compiled out";
 #endif
-  // The window, the visible rows and the drop count are in stage rows,
-  // however many stages each statement marked.
+  // Stage rows are retained with their statement's workload record: the
+  // window is workload_window statements, and the drop count is in the
+  // stage rows of the overwritten records, however many stages each
+  // statement marked.
   MonitorConfig config = TraceConfig(/*shards=*/1);
-  config.trace_window = 7;
+  config.workload_window = 2;
   Monitor m(config, RealClock::Instance());
   CommitOne(&m, 1, 0);      // seqs 1-5
   CommitPartial(&m, 1, 1);  // 6-8
@@ -113,22 +115,27 @@ TEST(MonitorTraceTest, TraceWindowCountsStageRowsNotStatements) {
   CommitOne(&m, 1, 4);      // 17-21
 
   std::vector<TraceRecord> rows = m.SnapshotTraces();
-  ASSERT_EQ(rows.size(), 7u);
+  ASSERT_EQ(rows.size(), 8u);
   for (size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_EQ(rows[i].seq, static_cast<int64_t>(15 + i));
+    EXPECT_EQ(rows[i].seq, static_cast<int64_t>(14 + i));
   }
-  EXPECT_EQ(rows[0].stage, Stage::kExecute);
-  EXPECT_EQ(rows[1].stage, Stage::kCommit);
-  EXPECT_EQ(rows[2].stage, Stage::kParse);
-  EXPECT_EQ(rows[3].stage, Stage::kBind);
-  EXPECT_EQ(rows[6].stage, Stage::kCommit);
-  EXPECT_EQ(m.ShardStatsSnapshot()[0].traces_dropped, 14);
+  EXPECT_EQ(rows[0].stage, Stage::kParse);
+  EXPECT_EQ(rows[1].stage, Stage::kExecute);
+  EXPECT_EQ(rows[2].stage, Stage::kCommit);
+  EXPECT_EQ(rows[3].stage, Stage::kParse);
+  EXPECT_EQ(rows[4].stage, Stage::kBind);
+  EXPECT_EQ(rows[7].stage, Stage::kCommit);
+  EXPECT_EQ(m.SnapshotWorkload().size(), 2u);
+  // Three records overwritten: 5 + 3 + 5 stage rows.
+  EXPECT_EQ(m.ShardStatsSnapshot()[0].traces_dropped, 13);
 
+  // A cursor inside a record's block returns the rest of that block.
   std::vector<TraceRecord> tail = m.SnapshotTracesSince(18);
   ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail[0].seq, 19);
+  EXPECT_EQ(tail[0].stage, Stage::kOptimize);
   // A since-seq below the window still returns only the visible rows.
-  EXPECT_EQ(m.SnapshotTracesSince(10).size(), 7u);
+  EXPECT_EQ(m.SnapshotTracesSince(10).size(), 8u);
 
   // Clear empties the window; the drop count is cumulative.
   m.Clear();
@@ -136,17 +143,7 @@ TEST(MonitorTraceTest, TraceWindowCountsStageRowsNotStatements) {
   rows = m.SnapshotTraces();
   ASSERT_EQ(rows.size(), 3u);
   EXPECT_EQ(rows[0].seq, 22);
-  EXPECT_EQ(m.ShardStatsSnapshot()[0].traces_dropped, 14);
-}
-
-TEST(MonitorTraceTest, ZeroTraceWindowDisablesCapture) {
-  MonitorConfig config = TraceConfig();
-  config.trace_window = 0;
-  Monitor m(config, RealClock::Instance());
-  for (int64_t i = 0; i < 4; ++i) CommitOne(&m, /*session_id=*/1, i);
-  EXPECT_TRUE(m.SnapshotTraces().empty());
-  // The workload path is untouched by the trace switch.
-  EXPECT_EQ(m.SnapshotWorkload().size(), 4u);
+  EXPECT_EQ(m.ShardStatsSnapshot()[0].traces_dropped, 13);
 }
 
 TEST(MonitorTraceTest, ChromeTraceJsonShape) {
