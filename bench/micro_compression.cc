@@ -1,6 +1,7 @@
-// Workload-compression microbenchmark: analyzer latency and workload-DB
-// footprint, raw per-execution rows versus per-template aggregates, at
-// 1x/10x/100x execution volume over a fixed set of statement shapes.
+// Workload-compression microbenchmark: workload-DB footprint, raw
+// per-execution rows versus per-template aggregates, and the analyzer's
+// latency over the templates, at 1x/10x/100x execution volume over a
+// fixed set of statement shapes.
 // Emits BENCH_compress.json; tier1.sh gates on it against the committed
 // baseline (template bytes at 100x must stay <= 25% of raw, and template
 // analyzer latency must stay sublinear in execution volume).
@@ -36,7 +37,6 @@ struct ScaleResult {
   int64_t template_rows = 0;
   double raw_bytes = 0;
   double template_bytes = 0;
-  double raw_latency_s = 0;
   double template_latency_s = 0;
 };
 
@@ -73,13 +73,10 @@ int64_t CountRows(engine::Database* db, const std::string& table) {
 }
 
 /// Best-of-kAnalyzeRepeats wall-clock seconds for a full analysis pass
-/// over the given workload representation (one warm-up run first).
-double AnalyzeLatency(engine::Database* monitored, engine::Database* wl,
-                      analyzer::WorkloadSource source) {
-  analyzer::AnalyzerConfig config;
-  config.workload_source = source;
+/// (one warm-up run first).
+double AnalyzeLatency(engine::Database* monitored, engine::Database* wl) {
   {
-    analyzer::Analyzer warm(monitored, wl, config);
+    analyzer::Analyzer warm(monitored, wl);
     auto r = warm.Analyze();
     if (!r.ok()) {
       std::fprintf(stderr, "bench: analyze failed: %s\n",
@@ -89,7 +86,7 @@ double AnalyzeLatency(engine::Database* monitored, engine::Database* wl,
   }
   double best = 1e30;
   for (int i = 0; i < kAnalyzeRepeats; ++i) {
-    analyzer::Analyzer analyzer(monitored, wl, config);
+    analyzer::Analyzer analyzer(monitored, wl);
     int64_t start = MonotonicNanos();
     auto r = analyzer.Analyze();
     double secs = static_cast<double>(MonotonicNanos() - start) / 1e9;
@@ -154,10 +151,7 @@ ScaleResult RunScale(int scale) {
   result.raw_bytes = TableBytes(&workload_db, "wl_statements") +
                      TableBytes(&workload_db, "wl_workload");
   result.template_bytes = TableBytes(&workload_db, "wl_templates");
-  result.template_latency_s = AnalyzeLatency(
-      &monitored, &workload_db, analyzer::WorkloadSource::kTemplates);
-  result.raw_latency_s = AnalyzeLatency(&monitored, &workload_db,
-                                        analyzer::WorkloadSource::kRawRows);
+  result.template_latency_s = AnalyzeLatency(&monitored, &workload_db);
   return result;
 }
 
@@ -166,15 +160,14 @@ int Main() {
               "workload compression: raw rows vs per-template aggregates");
 
   std::vector<ScaleResult> results;
-  std::printf("%-8s %10s %10s %12s %12s %12s %12s\n", "scale", "raw rows",
-              "templates", "raw bytes", "tmpl bytes", "raw ms", "tmpl ms");
+  std::printf("%-8s %10s %10s %12s %12s %12s\n", "scale", "raw rows",
+              "templates", "raw bytes", "tmpl bytes", "tmpl ms");
   for (int scale : kScales) {
     ScaleResult r = RunScale(scale);
-    std::printf("%-8d %10lld %10lld %12.0f %12.0f %12.3f %12.3f\n", scale,
+    std::printf("%-8d %10lld %10lld %12.0f %12.0f %12.3f\n", scale,
                 static_cast<long long>(r.raw_rows),
                 static_cast<long long>(r.template_rows), r.raw_bytes,
-                r.template_bytes, r.raw_latency_s * 1e3,
-                r.template_latency_s * 1e3);
+                r.template_bytes, r.template_latency_s * 1e3);
     results.push_back(r);
   }
 
@@ -198,8 +191,6 @@ int Main() {
                 static_cast<double>(results[i].template_rows), "rows");
     json.Metric("raw_bytes_" + tag, results[i].raw_bytes, "bytes");
     json.Metric("template_bytes_" + tag, results[i].template_bytes, "bytes");
-    json.Metric("raw_latency_ms_" + tag, results[i].raw_latency_s * 1e3,
-                "ms");
     json.Metric("template_latency_ms_" + tag,
                 results[i].template_latency_s * 1e3, "ms");
   }

@@ -55,10 +55,13 @@ void BM_SensorOnParseComplete(benchmark::State& state) {
   monitor::Monitor m(Config(true), RealClock::Instance());
   const std::string text =
       "SELECT p.nref_id, p.sequence FROM protein p WHERE p.nref_id = 42";
+  const uint64_t hash = HashStatement(text);
+  const uint64_t fingerprint =
+      sql::TemplateFingerprint(*sql::Tokenize(text));
   for (auto _ : state) {
     monitor::QueryTrace trace;
     trace.active = true;
-    m.OnParseComplete(&trace, text);
+    m.OnParseComplete(&trace, text, hash, fingerprint);
     benchmark::DoNotOptimize(trace);
   }
 }
@@ -115,8 +118,8 @@ void BM_SensorCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_SensorCommit);
 
-/// Text-only trace (tests, standalone replays): Commit normalizes the
-/// text itself.
+/// Text-only trace (tests, standalone replays): the text-only parse
+/// sensor hashes and normalizes the text itself.
 void BM_SensorCommitTextOnly(benchmark::State& state) {
   monitor::Monitor m(Config(true), RealClock::Instance());
   const std::string text = "SELECT v FROM t WHERE v = 1";

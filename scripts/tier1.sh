@@ -152,8 +152,8 @@ echo "== tier-1: differential fuzz sweep (25 seeded workloads) =="
 (cd build && ./tests/fuzz_test --iters=25)   # leaves BENCH_fuzz.json behind
 
 echo "== tier-1: differential compression sweep (100 seeded workloads) =="
-# Every seeded workload is analyzed twice — raw rows vs per-template
-# aggregates — and the recommendation sets must match rule-for-rule.
+# Every seeded workload's raw rows, grouped by template, must give
+# exactly the per-template aggregates the analyzer reads.
 (cd build && ./tests/compression_test --iters=100)
 
 echo "== tier-1: tuner apply-fault fuzz (seeded) =="
@@ -165,10 +165,10 @@ echo "== tier-1: tuner apply-fault fuzz (seeded) =="
 echo "== tier-1: compiled-out metrics build =="
 # The observability gate's reference side: the same overhead bench with
 # the metrics layer compiled out. That config must also be correct, not
-# just fast.
+# just fast, and the monitor's commit has compiled-out branches.
 cmake -B build-nometrics -S . -DIMON_METRICS=OFF >/dev/null
-cmake --build build-nometrics -j"$(nproc)" --target observability_overhead common_test
-(cd build-nometrics && ./tests/common_test --gtest_brief=1)
+cmake --build build-nometrics -j"$(nproc)" --target observability_overhead common_test monitor_test
+(cd build-nometrics && ./tests/common_test --gtest_brief=1 && ./tests/monitor_test --gtest_brief=1)
 
 gate observability_overhead
 # The paper's own ratio: the 1m test (PK point selects) in rounds of

@@ -9,7 +9,6 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "optimizer/binder.h"
-#include "sql/normalizer.h"
 #include "sql/parser.h"
 
 namespace imon::analyzer {
@@ -123,140 +122,7 @@ bool IsSelectText(const std::string& text) {
 
 }  // namespace
 
-void Analyzer::SortStatementsForRules(std::vector<StatementInfo>* out) {
-  std::sort(out->begin(), out->end(),
-            [](const StatementInfo& a, const StatementInfo& b) {
-              if (a.first_seen_micros != b.first_seen_micros) {
-                return a.first_seen_micros < b.first_seen_micros;
-              }
-              return a.fingerprint < b.fingerprint;
-            });
-}
-
-Result<std::vector<Analyzer::StatementInfo>> Analyzer::LoadStatements(
-    AnalysisReport* report) {
-  std::vector<StatementInfo> out;
-  bool from_templates = false;
-  switch (config_.workload_source) {
-    case WorkloadSource::kTemplates: {
-      IMON_ASSIGN_OR_RETURN(out, LoadStatementsFromTemplates());
-      from_templates = true;
-      break;
-    }
-    case WorkloadSource::kRawRows: {
-      IMON_ASSIGN_OR_RETURN(out, LoadStatementsFromRawRows());
-      break;
-    }
-    case WorkloadSource::kAuto: {
-      // Templates when available and populated; raw rows otherwise (a
-      // workload DB written before the template schema existed, or one
-      // filled out-of-band with raw rows only).
-      auto templates = LoadStatementsFromTemplates();
-      if (templates.ok() && !templates->empty()) {
-        out = std::move(*templates);
-        from_templates = true;
-      } else {
-        IMON_ASSIGN_OR_RETURN(out, LoadStatementsFromRawRows());
-      }
-      break;
-    }
-  }
-  if (report != nullptr) report->from_templates = from_templates;
-  // Deterministic rule order, identical for both sources: the greedy
-  // index search and R1's table counting then tie-break the same way no
-  // matter which representation was read.
-  SortStatementsForRules(&out);
-  return out;
-}
-
-Result<std::vector<Analyzer::StatementInfo>> Analyzer::LoadStatementsFromRawRows() {
-  IMON_ASSIGN_OR_RETURN(auto statements, Fetch("statements"));
-  auto& [stmt_rows, stmt_cols] = statements;
-  // Per raw hash first (snapshots append over time: keep the largest
-  // frequency and the earliest first_seen per hash)...
-  struct RawStatement {
-    std::string text;
-    int64_t frequency = 1;
-    int64_t first_seen = 0;
-    bool have_first_seen = false;
-  };
-  std::map<uint64_t, RawStatement> raw;
-  int hash_col = stmt_cols.at("hash");
-  int text_col = stmt_cols.at("query_text");
-  int freq_col = stmt_cols.at("frequency");
-  int first_col = stmt_cols.at("first_seen");
-  for (const Row& row : stmt_rows) {
-    uint64_t hash = static_cast<uint64_t>(row[hash_col].AsInt());
-    RawStatement& s = raw[hash];
-    s.text = row[text_col].AsText();
-    s.frequency = std::max(s.frequency, row[freq_col].AsInt());
-    int64_t first_seen = row[first_col].AsInt();
-    s.first_seen =
-        s.have_first_seen ? std::min(s.first_seen, first_seen) : first_seen;
-    s.have_first_seen = true;
-  }
-
-  // ...then group hashes into templates. Representative = the member
-  // with the smallest (first_seen, hash) — the monitor picks its sampled
-  // representative by the identical rule.
-  std::map<uint64_t, StatementInfo> by_fingerprint;
-  std::map<uint64_t, uint64_t> fingerprint_of;  // raw hash -> template
-  std::map<uint64_t, std::set<ObjectId>> group_tables;
-  for (const auto& [hash, s] : raw) {
-    uint64_t fingerprint = sql::NormalizeStatement(s.text).fingerprint;
-    fingerprint_of[hash] = fingerprint;
-    auto [it, inserted] = by_fingerprint.try_emplace(fingerprint);
-    StatementInfo& info = it->second;
-    if (inserted || s.first_seen < info.first_seen_micros ||
-        (s.first_seen == info.first_seen_micros && hash < info.hash)) {
-      info.hash = hash;
-      info.text = s.text;
-      info.first_seen_micros = s.first_seen;
-      info.is_select = IsSelectText(s.text);
-    }
-    info.fingerprint = fingerprint;
-    info.frequency = inserted ? s.frequency : info.frequency + s.frequency;
-  }
-
-  IMON_ASSIGN_OR_RETURN(auto workload, Fetch("workload"));
-  auto& [wl_rows, wl_cols] = workload;
-  int wl_hash = wl_cols.at("hash");
-  int wl_actual = wl_cols.at("actual_cost");
-  int wl_est = wl_cols.at("est_cost");
-  for (const Row& row : wl_rows) {
-    auto fp = fingerprint_of.find(static_cast<uint64_t>(row[wl_hash].AsInt()));
-    if (fp == fingerprint_of.end()) continue;
-    StatementInfo& info = by_fingerprint.at(fp->second);
-    info.total_actual += row[wl_actual].AsDouble();
-    info.total_estimated += row[wl_est].AsDouble();
-    info.executions += 1;
-  }
-
-  // Referenced tables per template, for R1.
-  IMON_ASSIGN_OR_RETURN(auto references, Fetch("references"));
-  auto& [ref_rows, ref_cols] = references;
-  int ref_hash = ref_cols.at("hash");
-  int ref_type = ref_cols.at("object_type");
-  int ref_table = ref_cols.at("table_id");
-  for (const Row& row : ref_rows) {
-    if (row[ref_type].AsText() != "table") continue;
-    auto fp = fingerprint_of.find(static_cast<uint64_t>(row[ref_hash].AsInt()));
-    if (fp == fingerprint_of.end()) continue;
-    group_tables[fp->second].insert(row[ref_table].AsInt());
-  }
-
-  std::vector<StatementInfo> out;
-  out.reserve(by_fingerprint.size());
-  for (auto& [fingerprint, info] : by_fingerprint) {
-    const std::set<ObjectId>& tables = group_tables[fingerprint];
-    info.ref_tables.assign(tables.begin(), tables.end());
-    out.push_back(std::move(info));
-  }
-  return out;
-}
-
-Result<std::vector<Analyzer::StatementInfo>>
-Analyzer::LoadStatementsFromTemplates() {
+Result<std::vector<Analyzer::StatementInfo>> Analyzer::LoadStatements() {
   IMON_ASSIGN_OR_RETURN(auto templates, Fetch("templates"));
   auto& [rows, cols] = templates;
   int fp_col = cols.at("fingerprint");
@@ -268,9 +134,9 @@ Analyzer::LoadStatementsFromTemplates() {
   int first_col = cols.at("first_seen");
   int tables_col = cols.at("ref_tables");
 
-  // One current row per fingerprint in both sources (the daemon upserts,
-  // the IMA snapshot merges shards); keep the most-advanced row should a
-  // stale duplicate ever appear.
+  // One current row per fingerprint in wl_templates and imp_templates
+  // alike (the daemon upserts, the IMA snapshot merges shards); keep the
+  // most-advanced row should a stale duplicate ever appear.
   std::map<uint64_t, StatementInfo> by_fingerprint;
   for (const Row& row : rows) {
     uint64_t fingerprint = static_cast<uint64_t>(row[fp_col].AsInt());
@@ -307,13 +173,21 @@ Analyzer::LoadStatementsFromTemplates() {
   for (auto& [fingerprint, info] : by_fingerprint) {
     out.push_back(std::move(info));
   }
+  // Deterministic rule order: the greedy index search and R1's table
+  // counting tie-break by (first_seen, fingerprint).
+  std::sort(out.begin(), out.end(),
+            [](const StatementInfo& a, const StatementInfo& b) {
+              if (a.first_seen_micros != b.first_seen_micros) {
+                return a.first_seen_micros < b.first_seen_micros;
+              }
+              return a.fingerprint < b.fingerprint;
+            });
   return out;
 }
 
 Status Analyzer::RuleCostMismatch(
     const std::vector<StatementInfo>& statements, AnalysisReport* report) {
-  // Per-template mean costs: the loaders carry exact rolling sums and the
-  // referenced tables, so the rule itself is source-agnostic.
+  // Per-template mean costs from the templates' exact rolling sums.
   // table -> the templates whose mismatch flagged it (the evidence).
   std::map<ObjectId, std::vector<const StatementInfo*>> flagged_tables;
   for (const StatementInfo& s : statements) {
@@ -770,7 +644,7 @@ Status Analyzer::BuildCostDiagram(
                 return a->total_actual > b->total_actual;
               }
               // Cost ties: fall back to workload order so the diagram is
-              // deterministic and identical across workload sources.
+              // deterministic.
               if (a->first_seen_micros != b->first_seen_micros) {
                 return a->first_seen_micros < b->first_seen_micros;
               }
@@ -830,7 +704,7 @@ Result<AnalysisReport> Analyzer::Analyze() {
   int64_t start = MonotonicNanos();
   AnalysisReport report;
   IMON_ASSIGN_OR_RETURN(std::vector<StatementInfo> statements,
-                        LoadStatements(&report));
+                        LoadStatements());
   report.statements_analyzed = static_cast<int64_t>(statements.size());
   IMON_RETURN_IF_ERROR(RuleCostMismatch(statements, &report));
   IMON_RETURN_IF_ERROR(RuleMissingHistograms(&report));

@@ -2,7 +2,8 @@
 //
 // Scans the collected monitoring data (workload DB, or the live IMA
 // tables when no workload DB is attached) and produces rule-based
-// recommendations:
+// recommendations. The statements it reads are the compressed templates
+// (wl_templates / imp_templates), one row per statement shape:
 //
 //   R1  "Actual and estimated costs of a statement differ significantly"
 //       -> statistics may be missing or outdated: collect statistics.
@@ -130,21 +131,8 @@ struct AnalysisReport {
   int64_t statements_analyzed = 0;
   int64_t cost_mismatch_statements = 0;  ///< flagged by R1
   int64_t analysis_micros = 0;
-  /// True when the workload came from the compressed template aggregates
-  /// (wl_templates / imp_templates) rather than per-execution rows.
-  bool from_templates = false;
 
   std::string ToString() const;  ///< textual report for the DBA
-};
-
-/// Which representation of the recorded workload the analyzer reads.
-enum class WorkloadSource {
-  /// Compressed templates when present and non-empty, raw rows otherwise.
-  kAuto,
-  /// Per-execution rows (wl_statements + wl_workload / imp_* twins).
-  kRawRows,
-  /// Per-template rolling aggregates (wl_templates / imp_templates).
-  kTemplates,
 };
 
 struct AnalyzerConfig {
@@ -158,11 +146,6 @@ struct AnalyzerConfig {
   size_t max_indexes = 16;
   double min_index_benefit = 1.0;
   int max_index_key_columns = 2;
-  /// Workload representation to analyze. Both modes group statements by
-  /// normalized template, so the rules see identical inputs either way;
-  /// templates just get there in O(distinct shapes) instead of
-  /// O(executions).
-  WorkloadSource workload_source = WorkloadSource::kAuto;
 };
 
 class Analyzer {
@@ -182,8 +165,7 @@ class Analyzer {
  private:
   /// One distinct statement *shape* (template). `hash`/`text` are the
   /// deterministic representative execution — min (first_seen, hash) —
-  /// which both loaders pick by the same rule, so raw-row and template
-  /// analysis feed the rules identical inputs.
+  /// as the monitor picks it.
   struct StatementInfo {
     uint64_t hash = 0;
     std::string text;
@@ -203,17 +185,10 @@ class Analyzer {
   Result<std::pair<std::vector<Row>, std::map<std::string, int>>> Fetch(
       const std::string& logical_name);
 
-  /// Load the workload per config_.workload_source, recording the path
-  /// taken in report->from_templates. Output is sorted by
-  /// (first_seen, fingerprint) so greedy rule iteration is deterministic
-  /// and identical across sources.
-  Result<std::vector<StatementInfo>> LoadStatements(AnalysisReport* report);
-  /// Per-execution rows, grouped by normalized template.
-  Result<std::vector<StatementInfo>> LoadStatementsFromRawRows();
-  /// Pre-aggregated wl_templates / imp_templates rows.
-  Result<std::vector<StatementInfo>> LoadStatementsFromTemplates();
-  /// Order by (first_seen, fingerprint) for deterministic greedy rules.
-  static void SortStatementsForRules(std::vector<StatementInfo>* out);
+  /// The recorded workload, one entry per template (wl_templates, or
+  /// imp_templates when no workload DB is attached), sorted by
+  /// (first_seen, fingerprint) so greedy rule iteration is deterministic.
+  Result<std::vector<StatementInfo>> LoadStatements();
 
   /// R1: cost-mismatch -> collect statistics on referenced tables.
   Status RuleCostMismatch(const std::vector<StatementInfo>& statements,

@@ -229,6 +229,38 @@ Status DeserializeRowInto(std::string_view data, Row* row) {
   return Status::OK();
 }
 
+std::string SqlLiteral(const Value& v) {
+  if (v.is_null()) return "NULL";
+  switch (v.type()) {
+    case TypeId::kInt:
+      return std::to_string(v.AsInt());
+    case TypeId::kDouble: {
+      std::ostringstream os;
+      os.precision(17);
+      os << v.AsDouble();
+      std::string s = os.str();
+      // Ensure the literal parses as a DOUBLE.
+      if (s.find('.') == std::string::npos &&
+          s.find('e') == std::string::npos &&
+          s.find("inf") == std::string::npos &&
+          s.find("nan") == std::string::npos) {
+        s += ".0";
+      }
+      return s;
+    }
+    case TypeId::kText: {
+      std::string out = "'";
+      for (char c : v.AsText()) {
+        out.push_back(c);
+        if (c == '\'') out.push_back('\'');
+      }
+      out.push_back('\'');
+      return out;
+    }
+  }
+  return "NULL";
+}
+
 uint64_t HashRow(const Row& row) {
   uint64_t h = 14695981039346656037ULL;
   for (const Value& v : row) h = HashCombine(h, v.Hash());

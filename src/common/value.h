@@ -121,6 +121,11 @@ Result<Row> DeserializeRow(std::string_view data);
 /// In-place variant reusing `row`'s capacity across a batch of rows.
 Status DeserializeRowInto(std::string_view data, Row* row);
 
+/// `v` as a SQL literal that parses back to the same value: NULL, an
+/// integer, a number with a `.` or exponent for a DOUBLE, or quoted text
+/// with `'` doubled.
+std::string SqlLiteral(const Value& v);
+
 /// Hash of all values in a row (for hash joins / aggregation keys).
 uint64_t HashRow(const Row& row);
 

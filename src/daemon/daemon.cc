@@ -71,39 +71,6 @@ const char* const kWlTemplatesDdl =
 // SAME monitor restores its delta baseline from them instead of
 // re-adding counts the previous daemon already persisted.
 
-/// Render a Value as a SQL literal (with '' escaping for text).
-std::string SqlLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  switch (v.type()) {
-    case TypeId::kInt:
-      return std::to_string(v.AsInt());
-    case TypeId::kDouble: {
-      std::ostringstream os;
-      os.precision(17);
-      os << v.AsDouble();
-      std::string s = os.str();
-      // Ensure the literal parses as a DOUBLE.
-      if (s.find('.') == std::string::npos &&
-          s.find('e') == std::string::npos &&
-          s.find("inf") == std::string::npos &&
-          s.find("nan") == std::string::npos) {
-        s += ".0";
-      }
-      return s;
-    }
-    case TypeId::kText: {
-      std::string out = "'";
-      for (char c : v.AsText()) {
-        out.push_back(c);
-        if (c == '\'') out.push_back('\'');
-      }
-      out.push_back('\'');
-      return out;
-    }
-  }
-  return "NULL";
-}
-
 }  // namespace
 
 std::vector<HistoryAlertRule> DefaultHistoryAlertRules() {
@@ -722,15 +689,10 @@ Status StorageDaemon::AddAlertRule(const std::string& name,
                                    const std::string& wl_table,
                                    const std::string& when_predicate,
                                    const std::string& message) {
-  std::string escaped;
-  for (char c : message) {
-    escaped.push_back(c);
-    if (c == '\'') escaped.push_back('\'');
-  }
-  auto r = workload_db_->Execute("CREATE TRIGGER " + name + " AFTER INSERT ON " +
-                                     wl_table + " WHEN " + when_predicate +
-                                     " RAISE '" + escaped + "'",
-                                 write_session_.get());
+  auto r = workload_db_->Execute(
+      "CREATE TRIGGER " + name + " AFTER INSERT ON " + wl_table + " WHEN " +
+          when_predicate + " RAISE " + SqlLiteral(Value::Text(message)),
+      write_session_.get());
   return r.status();
 }
 

@@ -1,6 +1,8 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <span>
 
 #include "catalog/histogram.h"
@@ -29,14 +31,14 @@ int64_t DiskIoTotal(const storage::DiskStats& s) {
   return s.physical_reads + s.physical_writes;
 }
 
-/// Direct construction clamps invalid sizing options to safe minimums;
-/// Database::Open rejects them instead (ValidateDatabaseOptions).
-DatabaseOptions SanitizeOptions(DatabaseOptions o) {
-  if (o.buffer_pool_pages == 0) o.buffer_pool_pages = 1;
-  if (o.buffer_pool_shards == 0) o.buffer_pool_shards = 1;
-  if (o.exec_batch_size == 0) o.exec_batch_size = 1;
-  if (o.exec_workers == 0) o.exec_workers = 1;
-  if (o.exec_morsel_pages == 0) o.exec_morsel_pages = 1;
+/// The constructor's check: invalid options stop the process with
+/// ValidateDatabaseOptions' message (Database::Open returns it instead).
+DatabaseOptions CheckedOptions(DatabaseOptions o) {
+  Status valid = ValidateDatabaseOptions(o);
+  if (!valid.ok()) {
+    std::fprintf(stderr, "Database: %s\n", valid.ToString().c_str());
+    std::abort();
+  }
   return o;
 }
 
@@ -72,7 +74,7 @@ Result<std::unique_ptr<Database>> Database::Open(DatabaseOptions options) {
 }
 
 Database::Database(DatabaseOptions options)
-    : options_(SanitizeOptions(std::move(options))),
+    : options_(CheckedOptions(std::move(options))),
       clock_(options_.clock != nullptr ? options_.clock
                                        : RealClock::Instance()),
       disk_(std::make_unique<storage::DiskManager>(

@@ -87,8 +87,8 @@ struct DatabaseOptions {
 
 /// Reject out-of-range options (zero exec_batch_size / exec_workers /
 /// exec_morsel_pages / buffer_pool_shards / buffer_pool_pages) with a
-/// descriptive Status. Database::Open runs this; the plain constructor
-/// instead clamps invalid values to safe minimums.
+/// descriptive Status. Database::Open returns it; the plain constructor
+/// stops the process with its message.
 Status ValidateDatabaseOptions(const DatabaseOptions& options);
 
 struct PlanCacheStats {
@@ -191,11 +191,12 @@ class Session {
 
 class Database {
  public:
+  /// Invalid options (ValidateDatabaseOptions) stop the process; Open
+  /// returns them as a Status instead.
   explicit Database(DatabaseOptions options = {});
   ~Database();
 
-  /// Validating factory: returns InvalidArgument instead of silently
-  /// clamping bad options.
+  /// Validating factory: returns InvalidArgument for bad options.
   static Result<std::unique_ptr<Database>> Open(DatabaseOptions options = {});
 
   /// Execute one SQL statement on this thread's implicit session. Each

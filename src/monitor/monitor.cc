@@ -168,17 +168,20 @@ void Monitor::ReleaseRefSet(Shard& shard, RefSet* refs) {
   shard.free_sets.push_back(refs);
 }
 
+void Monitor::OnParseComplete(QueryTrace* trace, std::string_view text) {
+  if (!config_.enabled || !trace->active) return;
+  OnParseComplete(
+      trace, text, HashStatement(text),
+      sql::NormalizeStatement(std::string(text)).fingerprint);
+}
+
 void Monitor::Commit(QueryTrace* trace) {
   if (!config_.enabled || !trace->active) return;
   int64_t begin = MonotonicNanos();
   int64_t wallclock_nanos = begin - trace->mono_start_nanos;
 
-  // The template fingerprint doubles as the sampling-decision key. A
-  // trace that carries none is normalized here, outside the shard lock.
-  sql::NormalizedStatement norm;
-  if (!trace->has_fingerprint) norm = sql::NormalizeStatement(trace->text);
-  const uint64_t fingerprint =
-      trace->has_fingerprint ? trace->fingerprint : norm.fingerprint;
+  // The template fingerprint doubles as the sampling-decision key.
+  const uint64_t fingerprint = trace->fingerprint;
   double estimated_total = trace->estimated_cpu + trace->estimated_io;
   uint32_t rate = sample_rate_ppm_.load(std::memory_order_relaxed);
 
@@ -188,15 +191,14 @@ void Monitor::Commit(QueryTrace* trace) {
   // sampling decision, so template counts stay exact under sampling.
   auto tit = shard.templates.find(fingerprint);
   bool t_created = false;
+  std::string template_text;
   if (tit == shard.templates.end()) {
-    if (trace->has_fingerprint) {
-      // A new template needs its text; build it outside the shard lock
-      // (once per template), then look again: another session of this
-      // shard may have created it meanwhile.
-      lock.unlock();
-      norm.template_text = sql::NormalizeStatement(trace->text).template_text;
-      lock.lock();
-    }
+    // A new template needs its text; build it outside the shard lock
+    // (once per template), then look again: another session of this
+    // shard may have created it meanwhile.
+    lock.unlock();
+    template_text = sql::NormalizeStatement(trace->text).template_text;
+    lock.lock();
     std::tie(tit, t_created) = shard.templates.try_emplace(fingerprint);
   }
   TemplateEntry& entry = tit->second;
@@ -214,7 +216,7 @@ void Monitor::Commit(QueryTrace* trace) {
     }
     shard.template_arrivals.push_back(fingerprint);
     tmpl.fingerprint = fingerprint;
-    tmpl.template_text = std::move(norm.template_text);
+    tmpl.template_text = std::move(template_text);
     tmpl.sample_hash = trace->hash;
     tmpl.sample_text = trace->text;
     tmpl.first_seen_micros = trace->wall_start_micros;
@@ -225,8 +227,7 @@ void Monitor::Commit(QueryTrace* trace) {
              (trace->wall_start_micros == tmpl.first_seen_micros &&
               trace->hash < tmpl.sample_hash)) {
     // Deterministic representative: min (first_seen, raw hash). The
-    // analyzer's raw-row grouping applies the identical rule, so both
-    // paths plan what-if candidates from the same statement text.
+    // compression sweep's raw-row oracle applies the identical rule.
     tmpl.sample_hash = trace->hash;
     tmpl.sample_text = trace->text;
     tmpl.first_seen_micros = trace->wall_start_micros;

@@ -4,9 +4,9 @@
 // call sites along the statement path (paper Fig. 2):
 //
 //   Query interface   -> OnQueryStart            (wallclock start)
-//   Parser            -> OnParseComplete         (query text + hash, and
-//                                                 the template fingerprint
-//                                                 from the parser's tokens)
+//   Parser            -> OnParseComplete         (query text, its hash and
+//                                                 the template fingerprint,
+//                                                 all from the front end)
 //   Binder/catalog    -> OnBindComplete          (tables, attributes,
 //                                                 histograms, avail. indexes)
 //   Optimizer         -> OnOptimizeComplete      (estimated costs,
@@ -185,8 +185,8 @@ struct WorkloadRecord {
 };
 
 /// Per-template rolling aggregate — the compressed form of the workload.
-/// One row per distinct statement *shape* (literals normalized away by
-/// sql::NormalizeStatement); every commit updates its template, while raw
+/// One row per distinct statement *shape* (QueryTrace::fingerprint, which
+/// ignores literals); every commit updates its template, while raw
 /// per-execution rows are subject to ring windows and adaptive sampling.
 /// Costs are tracked two ways: exact rolling sums (total_actual /
 /// total_estimated — these drive analyzer rules, so compression cannot
@@ -259,10 +259,9 @@ struct QueryTrace {
   int64_t mono_start_nanos = 0;
   uint64_t hash = 0;
   std::string text;
-  /// Template fingerprint (sql::TemplateFingerprint) when the front end
-  /// supplied one; otherwise Commit normalizes `text` to find it.
+  /// Template fingerprint (sql::TemplateFingerprint), supplied by the
+  /// parse sensor; Commit files the statement under it.
   uint64_t fingerprint = 0;
-  bool has_fingerprint = false;
   int64_t monitor_nanos = 0;
 
   std::vector<ObjectId> ref_tables;
@@ -363,18 +362,6 @@ class Monitor {
     trace->monitor_nanos += MonotonicNanos() - begin;
   }
 
-  /// Text only: the sensor hashes the text, and Commit normalizes it to
-  /// find the statement's template.
-  void OnParseComplete(QueryTrace* trace, std::string_view text) {
-    if (!config_.enabled || !trace->active) return;
-    int64_t begin = MonotonicNanos();
-    MarkStage(trace, Stage::kParse, begin);
-    trace->text.assign(text.data(), text.size());
-    trace->hash = HashStatement(text);
-    trace->has_fingerprint = false;
-    trace->monitor_nanos += MonotonicNanos() - begin;
-  }
-
   /// As the engine calls it: `hash` is HashStatement(text) and
   /// `fingerprint` the template fingerprint, both computed once by the
   /// front end, so Commit does no lexing.
@@ -386,9 +373,12 @@ class Monitor {
     trace->text.assign(text.data(), text.size());
     trace->hash = hash;
     trace->fingerprint = fingerprint;
-    trace->has_fingerprint = true;
     trace->monitor_nanos += MonotonicNanos() - begin;
   }
+
+  /// Text only, for callers without a front end (perfbench's layer
+  /// replay): hashes and normalizes `text`, then calls the sensor above.
+  void OnParseComplete(QueryTrace* trace, std::string_view text);
 
   /// Copies the references into the trace's own vectors, which keep
   /// their capacity on a reused trace. Any range works: the engine passes

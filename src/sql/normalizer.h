@@ -6,9 +6,11 @@
 // raw per-execution rows past the monitor's ring window).
 //
 // The rules run as one streaming pass over the lexer's tokens that feeds
-// either a text sink (NormalizeStatement) or a hash sink
-// (TemplateFingerprint), so the parser's token vector yields the
-// fingerprint without lexing the text a second time.
+// either a hash sink (TemplateFingerprint) or a text sink
+// (NormalizeStatement). The engine's front end takes every statement's
+// fingerprint from the parser's tokens, without lexing the text a second
+// time; only the monitor normalizes text, once per new template to store
+// its template text (and in its text-only parse sensor).
 //
 // Canonicalization rules (documented in DESIGN.md §12):
 //   - integer / float / string literals -> `?` (sign folded in when unary)

@@ -41,38 +41,6 @@ const char* kProvenanceDdl =
     "action_id INT, rule TEXT, fingerprint INT, executions INT, "
     "total_actual DOUBLE, total_estimated DOUBLE, recommended_at INT)";
 
-std::string SqlLiteral(const Value& v) {
-  if (v.is_null()) return "NULL";
-  switch (v.type()) {
-    case TypeId::kInt:
-      return std::to_string(v.AsInt());
-    case TypeId::kDouble: {
-      std::ostringstream os;
-      os.precision(17);
-      os << v.AsDouble();
-      std::string s = os.str();
-      // Ensure the literal parses as a DOUBLE.
-      if (s.find('.') == std::string::npos &&
-          s.find('e') == std::string::npos &&
-          s.find("inf") == std::string::npos &&
-          s.find("nan") == std::string::npos) {
-        s += ".0";
-      }
-      return s;
-    }
-    case TypeId::kText: {
-      std::string out = "'";
-      for (char c : v.AsText()) {
-        out.push_back(c);
-        if (c == '\'') out.push_back('\'');
-      }
-      out.push_back('\'');
-      return out;
-    }
-  }
-  return "NULL";
-}
-
 bool IsSelect(const std::string& text) {
   size_t i = 0;
   while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {

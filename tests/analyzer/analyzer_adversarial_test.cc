@@ -49,18 +49,18 @@ class AnalyzerAdversarialTest : public ::testing::Test {
     ASSERT_TRUE(r.ok()) << sql << " -> " << r.status();
   }
 
-  /// Synthetic statement history: one wl_statements row plus one
-  /// wl_workload execution with exact est/actual costs.
+  /// Synthetic statement history: one wl_templates row (its own
+  /// template, fingerprint = hash) for one execution with exact
+  /// est/actual costs.
   void AddStatement(int64_t hash, const std::string& text, double est_cost,
                     double actual_cost) {
+    const std::string h = std::to_string(hash);
     MustExec(&workload_db_,
-             "INSERT INTO wl_statements VALUES (1, " + std::to_string(hash) +
-                 ", '" + text + "', 1, 0, 0, 0)");
-    MustExec(&workload_db_,
-             "INSERT INTO wl_workload VALUES (1, " + std::to_string(hash) +
-                 ", " + std::to_string(hash) + ", 0, 0, 0, 0, 0, 0, 0.0, " +
-                 "0.0, " + std::to_string(est_cost) + ", " +
-                 std::to_string(actual_cost) + ", 0, 0, 0)");
+             "INSERT INTO wl_templates VALUES (1, 1, " + h + ", '" + text +
+                 "', " + h + ", '" + text + "', 1, 1, " +
+                 std::to_string(actual_cost) + ", " +
+                 std::to_string(est_cost) + ", 0, 0, '', '', 0.0, 0.0, 0.0, " +
+                 "0.0, 0.0, 0.0, 0, 0, 0, 0.0, 0.0)");
   }
 
   /// Synthetic wl_tables snapshot row.

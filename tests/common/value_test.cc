@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sql/ast.h"
+#include "sql/parser.h"
+
 namespace imon {
 namespace {
 
@@ -114,6 +117,35 @@ TEST(RowTest, DeserializeRejectsTruncation) {
   SerializeRow(row, &buf);
   for (size_t cut : {buf.size() - 1, buf.size() / 2, size_t{3}}) {
     EXPECT_FALSE(DeserializeRow(buf.substr(0, cut)).ok()) << "cut=" << cut;
+  }
+}
+
+TEST(ValueTest, SqlLiteralRendersAndParsesBack) {
+  struct Case {
+    Value value;
+    const char* literal;
+  };
+  const Case cases[] = {
+      {Value::Int(42), "42"},
+      {Value::Double(3.0), "3.0"},  // gains ".0" to stay a DOUBLE
+      {Value::Text("it's"), "'it''s'"},
+      {Value::Null(), "NULL"},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(SqlLiteral(c.value), c.literal);
+    auto stmt =
+        sql::Parse("INSERT INTO t VALUES (" + SqlLiteral(c.value) + ")");
+    ASSERT_TRUE(stmt.ok()) << c.literal << " -> " << stmt.status();
+    const auto& insert = static_cast<const sql::InsertStmt&>(**stmt);
+    ASSERT_EQ(insert.rows.size(), 1u);
+    ASSERT_EQ(insert.rows[0].size(), 1u);
+    const sql::Expr& parsed = *insert.rows[0][0];
+    ASSERT_EQ(parsed.kind, sql::ExprKind::kLiteral) << c.literal;
+    EXPECT_EQ(parsed.literal.is_null(), c.value.is_null()) << c.literal;
+    if (!c.value.is_null()) {
+      EXPECT_EQ(parsed.literal.type(), c.value.type()) << c.literal;
+      EXPECT_EQ(parsed.literal, c.value) << c.literal;
+    }
   }
 }
 

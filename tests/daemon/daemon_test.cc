@@ -290,7 +290,7 @@ TEST_F(DaemonTest, AlertRulesFireOnThreshold) {
   ASSERT_TRUE(daemon
                   .AddAlertRule("deadlock_alert", "wl_statistics",
                                 "deadlocks >= 1",
-                                "deadlocks observed on the system")
+                                "deadlocks observed on the system's locks")
                   .ok());
   std::vector<engine::AlertEvent> alerts;
   daemon.SetAlertHandler(
@@ -320,6 +320,9 @@ TEST_F(DaemonTest, AlertRulesFireOnThreshold) {
   ASSERT_TRUE(daemon.PollOnce().ok());
   ASSERT_GE(alerts.size(), 1u);
   EXPECT_EQ(alerts[0].trigger_name, "deadlock_alert");
+  // The message reaches the handler as given, its quote escaped on the
+  // way into the trigger.
+  EXPECT_EQ(alerts[0].message, "deadlocks observed on the system's locks");
   EXPECT_GE(daemon.stats().alerts_raised, 1);
 }
 

@@ -479,25 +479,26 @@ TEST_F(ParallelScanTest, ParallelCountersSurfaceInMetrics) {
   }
 }
 
+/// The sizing knobs that must be >= 1, each with a setter that zeroes it.
+struct ZeroSizingCase {
+  const char* field;
+  void (*set)(DatabaseOptions*);
+};
+const ZeroSizingCase kZeroSizingCases[] = {
+    {"exec_batch_size", [](DatabaseOptions* o) { o->exec_batch_size = 0; }},
+    {"exec_workers", [](DatabaseOptions* o) { o->exec_workers = 0; }},
+    {"exec_morsel_pages",
+     [](DatabaseOptions* o) { o->exec_morsel_pages = 0; }},
+    {"buffer_pool_shards",
+     [](DatabaseOptions* o) { o->buffer_pool_shards = 0; }},
+    {"buffer_pool_pages",
+     [](DatabaseOptions* o) { o->buffer_pool_pages = 0; }},
+};
+
 // Open-time validation: sizing knobs of zero are rejected with a clear
 // InvalidArgument naming the field, before any resources are created.
 TEST_F(ParallelScanTest, OpenRejectsZeroSizingOptions) {
-  struct Case {
-    const char* field;
-    void (*set)(DatabaseOptions*);
-  };
-  const Case cases[] = {
-      {"exec_batch_size",
-       [](DatabaseOptions* o) { o->exec_batch_size = 0; }},
-      {"exec_workers", [](DatabaseOptions* o) { o->exec_workers = 0; }},
-      {"exec_morsel_pages",
-       [](DatabaseOptions* o) { o->exec_morsel_pages = 0; }},
-      {"buffer_pool_shards",
-       [](DatabaseOptions* o) { o->buffer_pool_shards = 0; }},
-      {"buffer_pool_pages",
-       [](DatabaseOptions* o) { o->buffer_pool_pages = 0; }},
-  };
-  for (const Case& c : cases) {
+  for (const ZeroSizingCase& c : kZeroSizingCases) {
     DatabaseOptions o;
     c.set(&o);
     auto db = Database::Open(o);
@@ -513,6 +514,18 @@ TEST_F(ParallelScanTest, OpenRejectsZeroSizingOptions) {
   auto db = Database::Open(good);
   ASSERT_TRUE(db.ok());
   EXPECT_TRUE((*db)->Execute("CREATE TABLE ok_t (a INT)").ok());
+}
+
+// The constructor runs the same check and stops the process with its
+// message instead of running on a clamped value.
+TEST_F(ParallelScanTest, ConstructorStopsOnZeroSizingOptions) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  for (const ZeroSizingCase& c : kZeroSizingCases) {
+    DatabaseOptions o;
+    c.set(&o);
+    EXPECT_DEATH(Database{o}, std::string(c.field) + " must be >= 1")
+        << c.field;
+  }
 }
 
 }  // namespace

@@ -295,16 +295,29 @@ TEST(MonitorTest, SuppliedFingerprintPublishedAsGiven) {
   EXPECT_EQ(statements[0].hash, kHash);
   EXPECT_EQ(statements[0].frequency, 3);
 
-  // A trace given only text is normalized at Commit.
+  // The text-only sensor normalizes the text itself. Text that does not
+  // tokenize is its own template: the fingerprint mixes the raw text's
+  // hash, and the template text is the raw text.
+  const std::string untokenizable = "SELECT 'unterminated";
   RunStatement(&m, "SELECT a FROM t WHERE id = 3");
+  RunStatement(&m, untokenizable);
   templates = m.SnapshotTemplates();
-  ASSERT_EQ(templates.size(), 2u);
-  const TemplateRecord& normalized =
-      templates[0].fingerprint == kFingerprint ? templates[1] : templates[0];
-  EXPECT_EQ(
-      normalized.fingerprint,
+  ASSERT_EQ(templates.size(), 3u);
+  auto find = [&](uint64_t fingerprint) -> const TemplateRecord* {
+    for (const TemplateRecord& t : templates) {
+      if (t.fingerprint == fingerprint) return &t;
+    }
+    return nullptr;
+  };
+  const TemplateRecord* normalized = find(
       sql::NormalizeStatement("SELECT a FROM t WHERE id = 3").fingerprint);
-  EXPECT_EQ(normalized.template_text, "select a from t where id = ?");
+  ASSERT_NE(normalized, nullptr);
+  EXPECT_EQ(normalized->template_text, "select a from t where id = ?");
+  const TemplateRecord* raw = find(Mix64(HashStatement(untokenizable)));
+  ASSERT_NE(raw, nullptr);
+  EXPECT_EQ(raw->template_text, untokenizable);
+  EXPECT_EQ(raw->sample_text, untokenizable);
+  EXPECT_EQ(raw->sample_hash, HashStatement(untokenizable));
 }
 
 TEST(MonitorTest, TemplateWindowEvictsOldest) {

@@ -1,9 +1,12 @@
 // Differential workload-compression suite: every seeded fuzz workload
-// is analyzed twice — once over the raw per-execution rows, once over
-// the compressed per-template aggregates — and the two reports must
-// produce the identical recommendation set (kind, table, index name,
-// ordered attributes) for rules R1-R5. Compression that changes a
-// tuning decision is a bug, not a space optimization.
+// is replayed through the full pipeline, and the compressed
+// per-template aggregates the analyzer reads (wl_templates, or live
+// imp_templates) must hold exactly what grouping the raw per-execution
+// rows by normalized template gives: executions, cost sums, the
+// representative statement and the referenced tables. The analyzer's
+// rules are functions of those inputs, so compression that changed one
+// would change a tuning decision; that is a bug, not a space
+// optimization.
 //
 // Custom main(): `compression_test --seed=N --iters=K` replays the
 // sweep from any seed; tier-1 runs an explicit 100-workload sweep and
@@ -14,8 +17,12 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <memory>
+#include <set>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analyzer/analyzer.h"
@@ -23,17 +30,14 @@
 #include "daemon/daemon.h"
 #include "ima/ima.h"
 #include "monitor/monitor.h"
+#include "sql/normalizer.h"
 #include "testing/fault_injector.h"
 #include "testing/workload_gen.h"
 
 namespace imon::testing {
 namespace {
 
-using analyzer::AnalysisReport;
 using analyzer::Analyzer;
-using analyzer::AnalyzerConfig;
-using analyzer::RecommendationKindName;
-using analyzer::WorkloadSource;
 using engine::Database;
 using engine::DatabaseOptions;
 
@@ -89,33 +93,184 @@ struct Pipeline {
   std::unique_ptr<daemon::StorageDaemon> storage_daemon;
 };
 
-/// The equivalence key of one recommendation: kind, table, index name
-/// and the ordered attribute list. Reports agree iff these multisets do.
-std::vector<std::string> RecommendationKeys(const AnalysisReport& report) {
-  std::vector<std::string> keys;
-  for (const auto& rec : report.recommendations) {
-    std::string key = std::string(RecommendationKindName(rec.kind)) + "|" +
-                      rec.table + "|" + rec.index_name + "|";
-    for (const std::string& column : rec.columns) key += column + ",";
-    keys.push_back(std::move(key));
+/// One template's analyzer inputs: the fields the rules read.
+struct TemplateInputs {
+  uint64_t hash = 0;  ///< representative: min (first_seen, hash)
+  std::string text;
+  int64_t first_seen_micros = 0;
+  int64_t frequency = 0;
+  int64_t executions = 0;
+  double total_actual = 0;
+  double total_estimated = 0;
+  std::vector<int64_t> ref_tables;  ///< sorted, deduplicated
+
+  bool operator==(const TemplateInputs&) const = default;
+};
+using InputsByFingerprint = std::map<uint64_t, TemplateInputs>;
+
+/// All rows of `table` plus its name -> position map, read on an internal
+/// session so the reads themselves are not monitored.
+std::pair<std::vector<Row>, std::map<std::string, int>> Fetch(
+    Database* db, const std::string& table) {
+  auto session = db->CreateInternalSession();
+  auto r = db->Execute("SELECT * FROM " + table, session.get());
+  EXPECT_TRUE(r.ok()) << table << " -> " << r.status();
+  if (!r.ok()) return {};
+  std::map<std::string, int> cols;
+  for (size_t i = 0; i < r->columns.size(); ++i) {
+    cols[r->columns[i]] = static_cast<int>(i);
   }
-  std::sort(keys.begin(), keys.end());
-  return keys;
+  return std::make_pair(std::move(r->rows), std::move(cols));
 }
 
-Result<AnalysisReport> AnalyzeWith(Database* monitored, Database* workload_db,
-                                   WorkloadSource source) {
-  AnalyzerConfig config;
-  config.workload_source = source;
-  Analyzer analyzer(monitored, workload_db, config);
-  return analyzer.Analyze();
+/// The oracle: the per-execution rows (`prefix` = "wl_" or "imp_")
+/// grouped by normalized template.
+InputsByFingerprint GroupRawRows(Database* db, const std::string& prefix) {
+  auto [stmt_rows, stmt_cols] = Fetch(db, prefix + "statements");
+  // Per raw hash first (snapshots append over time: keep the largest
+  // frequency and the earliest first_seen per hash)...
+  struct RawStatement {
+    std::string text;
+    int64_t frequency = 1;
+    int64_t first_seen = 0;
+    bool have_first_seen = false;
+  };
+  std::map<uint64_t, RawStatement> raw;
+  int hash_col = stmt_cols.at("hash");
+  int text_col = stmt_cols.at("query_text");
+  int freq_col = stmt_cols.at("frequency");
+  int first_col = stmt_cols.at("first_seen");
+  for (const Row& row : stmt_rows) {
+    uint64_t hash = static_cast<uint64_t>(row[hash_col].AsInt());
+    RawStatement& s = raw[hash];
+    s.text = row[text_col].AsText();
+    s.frequency = std::max(s.frequency, row[freq_col].AsInt());
+    int64_t first_seen = row[first_col].AsInt();
+    s.first_seen =
+        s.have_first_seen ? std::min(s.first_seen, first_seen) : first_seen;
+    s.have_first_seen = true;
+  }
+
+  // ...then group hashes into templates. Representative = the member
+  // with the smallest (first_seen, hash) — the monitor picks its sampled
+  // representative by the identical rule.
+  InputsByFingerprint by_fingerprint;
+  std::map<uint64_t, uint64_t> fingerprint_of;  // raw hash -> template
+  std::map<uint64_t, std::set<int64_t>> group_tables;
+  for (const auto& [hash, s] : raw) {
+    uint64_t fingerprint = sql::NormalizeStatement(s.text).fingerprint;
+    fingerprint_of[hash] = fingerprint;
+    auto [it, inserted] = by_fingerprint.try_emplace(fingerprint);
+    TemplateInputs& info = it->second;
+    if (inserted || s.first_seen < info.first_seen_micros ||
+        (s.first_seen == info.first_seen_micros && hash < info.hash)) {
+      info.hash = hash;
+      info.text = s.text;
+      info.first_seen_micros = s.first_seen;
+    }
+    info.frequency = inserted ? s.frequency : info.frequency + s.frequency;
+  }
+
+  auto [wl_rows, wl_cols] = Fetch(db, prefix + "workload");
+  int wl_hash = wl_cols.at("hash");
+  int wl_actual = wl_cols.at("actual_cost");
+  int wl_est = wl_cols.at("est_cost");
+  for (const Row& row : wl_rows) {
+    auto fp = fingerprint_of.find(static_cast<uint64_t>(row[wl_hash].AsInt()));
+    if (fp == fingerprint_of.end()) continue;
+    TemplateInputs& info = by_fingerprint.at(fp->second);
+    info.total_actual += row[wl_actual].AsDouble();
+    info.total_estimated += row[wl_est].AsDouble();
+    info.executions += 1;
+  }
+
+  // Referenced tables per template, for R1.
+  auto [ref_rows, ref_cols] = Fetch(db, prefix + "references");
+  int ref_hash = ref_cols.at("hash");
+  int ref_type = ref_cols.at("object_type");
+  int ref_table = ref_cols.at("table_id");
+  for (const Row& row : ref_rows) {
+    if (row[ref_type].AsText() != "table") continue;
+    auto fp = fingerprint_of.find(static_cast<uint64_t>(row[ref_hash].AsInt()));
+    if (fp == fingerprint_of.end()) continue;
+    group_tables[fp->second].insert(row[ref_table].AsInt());
+  }
+  for (auto& [fingerprint, info] : by_fingerprint) {
+    const std::set<int64_t>& tables = group_tables[fingerprint];
+    info.ref_tables.assign(tables.begin(), tables.end());
+  }
+  return by_fingerprint;
 }
 
-// The tentpole sweep: `--iters` seeded workloads, each replayed into two
-// identical pipelines and analyzed raw vs compressed. Any recommendation
-// divergence fails with the seed and both reports.
+/// What the analyzer reads: the `prefix` + "templates" rows.
+InputsByFingerprint ReadTemplates(Database* db, const std::string& prefix) {
+  auto [rows, cols] = Fetch(db, prefix + "templates");
+  InputsByFingerprint out;
+  for (const Row& row : rows) {
+    TemplateInputs info;
+    info.hash = static_cast<uint64_t>(row[cols.at("sample_hash")].AsInt());
+    info.text = row[cols.at("sample_text")].AsText();
+    info.first_seen_micros = row[cols.at("first_seen")].AsInt();
+    info.executions = row[cols.at("executions")].AsInt();
+    info.frequency = info.executions;
+    info.total_actual = row[cols.at("total_actual")].AsDouble();
+    info.total_estimated = row[cols.at("total_estimated")].AsDouble();
+    std::set<int64_t> tables;
+    std::istringstream csv(row[cols.at("ref_tables")].AsText());
+    for (std::string id; std::getline(csv, id, ',');) {
+      if (!id.empty()) tables.insert(std::stoll(id));
+    }
+    info.ref_tables.assign(tables.begin(), tables.end());
+    EXPECT_TRUE(
+        out.emplace(static_cast<uint64_t>(row[cols.at("fingerprint")].AsInt()),
+                    std::move(info))
+            .second)
+        << "two " << prefix << "templates rows for one fingerprint";
+  }
+  return out;
+}
+
+std::string Describe(const TemplateInputs& t) {
+  std::ostringstream os;
+  os << "hash=" << t.hash << " first_seen=" << t.first_seen_micros
+     << " freq=" << t.frequency << " execs=" << t.executions
+     << " actual=" << t.total_actual << " est=" << t.total_estimated
+     << " tables=[";
+  for (int64_t id : t.ref_tables) os << id << ",";
+  os << "] text=" << t.text;
+  return os.str();
+}
+
+/// Empty when the oracle and the templates hold the same inputs for the
+/// same fingerprints; otherwise one line per side of each difference.
+std::string Divergence(const InputsByFingerprint& oracle,
+                       const InputsByFingerprint& templates) {
+  std::ostringstream os;
+  std::set<uint64_t> fingerprints;
+  for (const auto& entry : oracle) fingerprints.insert(entry.first);
+  for (const auto& entry : templates) fingerprints.insert(entry.first);
+  for (uint64_t fp : fingerprints) {
+    auto raw = oracle.find(fp);
+    auto tmpl = templates.find(fp);
+    if (raw != oracle.end() && tmpl != templates.end() &&
+        raw->second == tmpl->second) {
+      continue;
+    }
+    os << "fingerprint " << fp << "\n  raw:      "
+       << (raw == oracle.end() ? "(none)" : Describe(raw->second))
+       << "\n  template: "
+       << (tmpl == templates.end() ? "(none)" : Describe(tmpl->second))
+       << "\n";
+  }
+  return os.str();
+}
+
+// The tentpole sweep: `--iters` seeded workloads, each replayed into one
+// pipeline whose workload DB then holds both representations. Any
+// difference in a template's inputs fails with the seed and the
+// differing templates; the analyzer must read every template.
 TEST(CompressionDifferentialTest, RawAndTemplateAnalysesAgree) {
-  int64_t raw_statements = 0;
+  int64_t raw_groups = 0;
   int64_t templates = 0;
   int64_t divergences = 0;
   for (int i = 0; i < g_iters; ++i) {
@@ -123,120 +278,61 @@ TEST(CompressionDifferentialTest, RawAndTemplateAnalysesAgree) {
     config.seed = g_seed + static_cast<uint64_t>(i);
     Workload workload = GenerateWorkload(config);
 
-    // Two fresh pipelines: Analyze() runs ANALYZE on the engine before
-    // index selection, so both modes must start from identical state.
-    Pipeline raw_pipeline;
-    Pipeline template_pipeline;
-    raw_pipeline.Replay(workload);
-    template_pipeline.Replay(workload);
+    Pipeline pipeline;
+    pipeline.Replay(workload);
     if (::testing::Test::HasFatalFailure()) return;
-    ASSERT_TRUE(raw_pipeline.storage_daemon->PollOnce().ok());
-    ASSERT_TRUE(template_pipeline.storage_daemon->PollOnce().ok());
+    ASSERT_TRUE(pipeline.storage_daemon->PollOnce().ok());
 
-    auto raw_report =
-        AnalyzeWith(&raw_pipeline.monitored, &raw_pipeline.workload_db,
-                    WorkloadSource::kRawRows);
-    auto template_report = AnalyzeWith(&template_pipeline.monitored,
-                                       &template_pipeline.workload_db,
-                                       WorkloadSource::kTemplates);
-    ASSERT_TRUE(raw_report.ok()) << raw_report.status();
-    ASSERT_TRUE(template_report.ok()) << template_report.status();
-    EXPECT_FALSE(raw_report->from_templates);
-    EXPECT_TRUE(template_report->from_templates);
+    InputsByFingerprint oracle = GroupRawRows(&pipeline.workload_db, "wl_");
+    InputsByFingerprint compressed =
+        ReadTemplates(&pipeline.workload_db, "wl_");
+    std::string diff = Divergence(oracle, compressed);
+    if (!diff.empty()) ++divergences;
+    EXPECT_EQ(diff, "") << "seed " << config.seed;
 
-    EXPECT_EQ(raw_report->statements_analyzed,
-              template_report->statements_analyzed)
+    auto report =
+        Analyzer(&pipeline.monitored, &pipeline.workload_db).Analyze();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->statements_analyzed,
+              static_cast<int64_t>(compressed.size()))
         << "seed " << config.seed;
-    EXPECT_EQ(raw_report->cost_mismatch_statements,
-              template_report->cost_mismatch_statements)
-        << "seed " << config.seed;
-    auto raw_keys = RecommendationKeys(*raw_report);
-    auto template_keys = RecommendationKeys(*template_report);
-    if (raw_keys != template_keys) ++divergences;
-    EXPECT_EQ(raw_keys, template_keys)
-        << "seed " << config.seed << "\n--- raw rows ---\n"
-        << raw_report->ToString() << "\n--- templates ---\n"
-        << template_report->ToString();
-    raw_statements += raw_report->statements_analyzed;
-    templates += template_report->statements_analyzed;
+    raw_groups += static_cast<int64_t>(oracle.size());
+    templates += static_cast<int64_t>(compressed.size());
   }
   bench::JsonWriter json("compress_equiv");
   json.Metric("iterations", static_cast<double>(g_iters), "workloads");
   json.Metric("templates_compared", static_cast<double>(templates),
               "templates");
-  json.Metric("raw_groups_compared", static_cast<double>(raw_statements),
+  json.Metric("raw_groups_compared", static_cast<double>(raw_groups),
               "templates");
   json.Metric("divergences", static_cast<double>(divergences), "divergences");
   json.Write();
 }
 
 // Same equivalence over the live IMA tables (no workload DB attached):
-// the analyzer reads imp_statements/imp_workload vs imp_templates.
+// imp_statements/imp_workload/imp_references grouped against
+// imp_templates.
 TEST(CompressionDifferentialTest, LiveImaModeAgrees) {
   for (int i = 0; i < std::min(g_iters, 3); ++i) {
     GenConfig config;
     config.seed = g_seed + 1000 + static_cast<uint64_t>(i);
     Workload workload = GenerateWorkload(config);
-    Pipeline raw_pipeline;
-    Pipeline template_pipeline;
-    raw_pipeline.Replay(workload);
-    template_pipeline.Replay(workload);
+    Pipeline pipeline;
+    pipeline.Replay(workload);
     if (::testing::Test::HasFatalFailure()) return;
 
-    auto raw_report = AnalyzeWith(&raw_pipeline.monitored, nullptr,
-                                  WorkloadSource::kRawRows);
-    auto template_report = AnalyzeWith(&template_pipeline.monitored, nullptr,
-                                       WorkloadSource::kTemplates);
-    ASSERT_TRUE(raw_report.ok()) << raw_report.status();
-    ASSERT_TRUE(template_report.ok()) << template_report.status();
-    EXPECT_EQ(raw_report->statements_analyzed,
-              template_report->statements_analyzed)
+    InputsByFingerprint compressed =
+        ReadTemplates(&pipeline.monitored, "imp_");
+    EXPECT_EQ(Divergence(GroupRawRows(&pipeline.monitored, "imp_"),
+                         compressed),
+              "")
         << "seed " << config.seed;
-    EXPECT_EQ(RecommendationKeys(*raw_report),
-              RecommendationKeys(*template_report))
-        << "seed " << config.seed << "\n--- raw rows ---\n"
-        << raw_report->ToString() << "\n--- templates ---\n"
-        << template_report->ToString();
+    auto report = Analyzer(&pipeline.monitored, nullptr).Analyze();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->statements_analyzed,
+              static_cast<int64_t>(compressed.size()))
+        << "seed " << config.seed;
   }
-}
-
-// kAuto reads templates when the compressed table is populated, and
-// falls back to raw rows for workload DBs filled before the template
-// schema existed (or, as here, out-of-band with raw rows only).
-TEST(CompressionDifferentialTest, AutoSourcePrefersTemplatesAndFallsBack) {
-  Pipeline pipeline;
-  pipeline.Must("CREATE TABLE t (a INT, b INT)");
-  for (int i = 0; i < 30; ++i) {
-    pipeline.Must("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
-                  std::to_string(i) + ")");
-  }
-  pipeline.Must("SELECT a FROM t WHERE b = 7");
-  if (::testing::Test::HasFatalFailure()) return;
-  ASSERT_TRUE(pipeline.storage_daemon->PollOnce().ok());
-
-  auto with_templates = AnalyzeWith(&pipeline.monitored, &pipeline.workload_db,
-                                    WorkloadSource::kAuto);
-  ASSERT_TRUE(with_templates.ok()) << with_templates.status();
-  EXPECT_TRUE(with_templates->from_templates);
-  EXPECT_GT(with_templates->statements_analyzed, 0);
-
-  // A raw-only workload DB: wl_templates exists but stays empty.
-  SimulatedClock clock(1000000);
-  Database raw_only(Pipeline::WorkloadOptions(&clock));
-  ASSERT_TRUE(daemon::CreateWorkloadSchema(&raw_only).ok());
-  ASSERT_TRUE(raw_only
-                  .Execute("INSERT INTO wl_statements VALUES "
-                           "(1, 42, 'SELECT * FROM t_raw', 1, 0, 0, 0)")
-                  .ok());
-  ASSERT_TRUE(raw_only
-                  .Execute("INSERT INTO wl_workload VALUES (1, 42, 42, 0, 0, "
-                           "0, 0, 0, 0, 0.0, 0.0, 10.0, 40.0, 0, 0, 0)")
-                  .ok());
-  auto raw_fallback =
-      AnalyzeWith(&pipeline.monitored, &raw_only, WorkloadSource::kAuto);
-  ASSERT_TRUE(raw_fallback.ok()) << raw_fallback.status();
-  EXPECT_FALSE(raw_fallback->from_templates);
-  EXPECT_EQ(raw_fallback->statements_analyzed, 1);
 }
 
 /// Everything one flush-pressure scenario observes, for replay equality.
@@ -353,9 +449,9 @@ TEST(SamplingDeterminismTest, FlushPressureScenarioReproducesPerSeed) {
             static_cast<size_t>(first.sampled_out) + first.kept.size());
 }
 
-// Under sampling pressure the compressed analysis keeps seeing the whole
-// workload: template mode still reports every distinct shape with exact
-// execution counts, while raw mode visibly thins out.
+// Under sampling pressure the analysis keeps seeing the whole workload:
+// the templates it reads report every distinct shape with exact
+// execution counts, while the raw rows visibly thin out.
 TEST(SamplingDeterminismTest, TemplatesStayExactUnderSampling) {
   daemon::DaemonConfig daemon_config;
   daemon_config.polls_per_flush = 1;
@@ -368,8 +464,7 @@ TEST(SamplingDeterminismTest, TemplatesStayExactUnderSampling) {
   if (::testing::Test::HasFatalFailure()) return;
   ASSERT_TRUE(pipeline.storage_daemon->PollOnce().ok());
 
-  auto report = AnalyzeWith(&pipeline.monitored, &pipeline.workload_db,
-                            WorkloadSource::kTemplates);
+  auto report = Analyzer(&pipeline.monitored, &pipeline.workload_db).Analyze();
   ASSERT_TRUE(report.ok()) << report.status();
   // One INSERT template, 200 exact executions — regardless of sampling.
   bool found = false;
