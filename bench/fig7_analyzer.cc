@@ -104,8 +104,13 @@ int main() {
     auto applied = an.Apply(report->recommendations);
     if (!applied.ok()) return 1;
 
+    // The applied list, so two builds' tuning decisions diff as text.
+    std::printf("applied %lld of %zu recommendations:\n",
+                static_cast<long long>(*applied),
+                report->recommendations.size());
     int64_t index_recs = 0;
     for (const auto& rec : report->recommendations) {
+      std::printf("  %s\n", rec.sql.c_str());
       if (rec.kind == analyzer::RecommendationKind::kCreateIndex) {
         ++index_recs;
       }

@@ -165,10 +165,14 @@ echo "== tier-1: tuner apply-fault fuzz (seeded) =="
 echo "== tier-1: compiled-out metrics build =="
 # The observability gate's reference side: the same overhead bench with
 # the metrics layer compiled out. That config must also be correct, not
-# just fast, and the monitor's commit has compiled-out branches.
+# just fast: the monitor's commit, the IMA tables and the daemon's
+# registry mirrors have compiled-out branches.
+nometrics_tests=(common_test monitor_test ima_test daemon_test)
 cmake -B build-nometrics -S . -DIMON_METRICS=OFF >/dev/null
-cmake --build build-nometrics -j"$(nproc)" --target observability_overhead common_test monitor_test
-(cd build-nometrics && ./tests/common_test --gtest_brief=1 && ./tests/monitor_test --gtest_brief=1)
+cmake --build build-nometrics -j"$(nproc)" --target observability_overhead "${nometrics_tests[@]}"
+for t in "${nometrics_tests[@]}"; do
+  (cd build-nometrics && "./tests/$t" --gtest_brief=1)
+done
 
 gate observability_overhead
 # The paper's own ratio: the 1m test (PK point selects) in rounds of

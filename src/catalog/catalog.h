@@ -27,17 +27,13 @@ class VirtualTableProvider {
   virtual ~VirtualTableProvider() = default;
   /// Column layout of the virtual table.
   virtual std::vector<ColumnInfo> Schema() const = 0;
-  /// Produce the current snapshot of rows.
-  virtual std::vector<Row> Snapshot() const = 0;
-
-  /// Predicate pushdown for monotonically increasing sequence columns
-  /// (the daemon's incremental "WHERE seq > N" polls): ordinal of the
-  /// sequence column, or -1 when unsupported.
+  /// Ordinal of a monotone sequence column, or -1. The executor pushes a
+  /// `seq > <literal>` conjunct on it down into Rows() (the daemon's
+  /// incremental polls).
   virtual int SeqColumn() const { return -1; }
-  /// Rows with seq > min_seq_exclusive; only called when SeqColumn()>=0.
-  virtual std::vector<Row> SnapshotSince(int64_t /*min_seq_exclusive*/) const {
-    return Snapshot();
-  }
+  /// The rows with seq > min_seq: all of them for INT64_MIN, and for a
+  /// table without a seq column.
+  virtual std::vector<Row> Rows(int64_t min_seq) const = 0;
 };
 
 class Catalog {

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/value.h"
@@ -37,6 +38,15 @@ struct ColumnInfo {
   /// Position in the table's row layout.
   int ordinal = 0;
 };
+
+/// A column with only its name and type set: a virtual table's schema
+/// entry.
+inline ColumnInfo Column(std::string name, TypeId type) {
+  ColumnInfo c;
+  c.name = std::move(name);
+  c.type = type;
+  return c;
+}
 
 struct IndexInfo {
   ObjectId id = kInvalidObjectId;

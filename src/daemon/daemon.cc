@@ -1,7 +1,12 @@
 #include "daemon/daemon.h"
 
 #include <algorithm>
+#include <cstring>
+#include <span>
 #include <sstream>
+#include <string_view>
+
+#include "ima/ima.h"
 
 namespace imon::daemon {
 
@@ -10,66 +15,70 @@ using engine::QueryResult;
 
 namespace {
 
-struct WlTable {
-  const char* name;
-  const char* ddl;
+/// When a mirror's IMA table is read.
+enum class Feed {
+  kEveryPoll,   ///< on every poll
+  kEveryFlush,  ///< once per flush window, on the poll that flushes
+  kSampler,     ///< never over SQL: SampleMetricsHistory stages the rows
 };
 
-const WlTable kWlTables[] = {
-    {"wl_statements",
-     "CREATE TABLE IF NOT EXISTS wl_statements (captured_at INT, hash INT, "
-     "query_text TEXT, frequency INT, first_seen INT, last_seen INT, "
-     "seq INT)"},
-    {"wl_workload",
-     "CREATE TABLE IF NOT EXISTS wl_workload (captured_at INT, seq INT, "
-     "hash INT, start_micros INT, wallclock_nanos INT, opt_cpu_nanos INT, "
-     "opt_disk_io INT, exec_cpu_nanos INT, exec_disk_io INT, est_cpu DOUBLE, "
-     "est_io DOUBLE, est_cost DOUBLE, actual_cost DOUBLE, rows_examined INT, "
-     "rows_output INT, monitor_nanos INT)"},
-    {"wl_references",
-     "CREATE TABLE IF NOT EXISTS wl_references (captured_at INT, seq INT, "
-     "hash INT, object_type TEXT, object_id INT, table_id INT, ordinal INT)"},
-    {"wl_tables",
-     "CREATE TABLE IF NOT EXISTS wl_tables (captured_at INT, table_id INT, "
-     "table_name TEXT, frequency INT, storage TEXT, data_pages INT, "
-     "overflow_pages INT, row_count INT)"},
-    {"wl_attributes",
-     "CREATE TABLE IF NOT EXISTS wl_attributes (captured_at INT, "
-     "table_id INT, ordinal INT, attr_name TEXT, frequency INT, "
-     "has_histogram INT)"},
-    {"wl_indexes",
-     "CREATE TABLE IF NOT EXISTS wl_indexes (captured_at INT, index_id INT, "
-     "index_name TEXT, table_id INT, frequency INT, pages INT, "
-     "is_unique INT)"},
-    {"wl_statistics",
-     "CREATE TABLE IF NOT EXISTS wl_statistics (captured_at INT, seq INT, "
-     "time_micros INT, current_sessions INT, max_sessions INT, "
-     "locks_held INT, lock_waits INT, deadlocks INT, cache_logical INT, "
-     "cache_physical INT, cache_hit_ratio DOUBLE, disk_reads INT, "
-     "disk_writes INT, statements INT)"},
-    {"wl_metrics_history",
-     "CREATE TABLE IF NOT EXISTS wl_metrics_history (captured_at INT, "
-     "name TEXT, resolution INT, tick_micros INT, min INT, max INT, "
-     "sum INT, count INT, last INT)"},
+/// What a mirror keeps in the workload DB.
+enum class Keep {
+  /// Every flushed row, stamped; PurgeExpired drops rows past retention.
+  kHistory,
+  /// One current row per template, upserted by FlushTemplates and exempt
+  /// from retention; its five src_* resume columns follow the IMA ones.
+  kCurrent,
 };
 
-/// The compressed workload lives outside kWlTables on purpose: retention
-/// purges iterate that array, and wl_templates must outlive the raw-row
-/// purge (one current row per statement shape, never aged out).
-const char* const kWlTemplatesDdl =
-    "CREATE TABLE IF NOT EXISTS wl_templates (captured_at INT, seq INT, "
-    "fingerprint INT, template_text TEXT, sample_hash INT, sample_text TEXT, "
-    "executions INT, sampled_count INT, total_actual DOUBLE, "
-    "total_estimated DOUBLE, first_seen INT, last_seen INT, "
-    "ref_tables TEXT, ref_attrs TEXT, p50_actual DOUBLE, p95_actual DOUBLE, "
-    "p99_actual DOUBLE, p50_estimated DOUBLE, p95_estimated DOUBLE, "
-    "p99_estimated DOUBLE, src_id INT, src_executions INT, src_sampled INT, "
-    "src_actual DOUBLE, src_estimated DOUBLE)";
-// The trailing src_* columns are daemon resume state, not workload data:
-// the monitor incarnation the row was last flushed from and that
-// incarnation's raw cumulative counters. A restarted daemon facing the
-// SAME monitor restores its delta baseline from them instead of
-// re-adding counts the previous daemon already persisted.
+/// One wl_* mirror: wl_<x> is captured_at followed by imp_<x>'s columns.
+/// A table with a seq column is polled past a cursor (`WHERE seq > N`),
+/// one without is read whole.
+struct Mirror {
+  constexpr Mirror(std::string_view ima_table, Feed feed, Keep keep, bool raw)
+      : ima(&ima::FindImaTable(ima_table)), feed(feed), keep(keep), raw(raw) {}
+  const ima::ImaTable* ima;
+  Feed feed;
+  Keep keep;
+  /// Raw per-execution rows: their volume per flush window drives the
+  /// adaptive sampler.
+  bool raw;
+};
+
+constexpr Mirror kMirrors[] = {
+    // IMA table            read               keeps           raw
+    {"imp_statements",      Feed::kEveryFlush, Keep::kHistory, false},
+    {"imp_workload",        Feed::kEveryPoll,  Keep::kHistory, true},
+    {"imp_references",      Feed::kEveryPoll,  Keep::kHistory, true},
+    {"imp_tables",          Feed::kEveryFlush, Keep::kHistory, false},
+    {"imp_attributes",      Feed::kEveryFlush, Keep::kHistory, false},
+    {"imp_indexes",         Feed::kEveryFlush, Keep::kHistory, false},
+    {"imp_statistics",      Feed::kEveryPoll,  Keep::kHistory, false},
+    {"imp_metrics_history", Feed::kSampler,    Keep::kHistory, false},
+    {"imp_templates",       Feed::kEveryFlush, Keep::kCurrent, false},
+};
+constexpr size_t kNumMirrors = std::size(kMirrors);
+
+constexpr size_t MirrorOf(std::string_view ima_table) {
+  size_t i = 0;
+  while (kMirrors[i].ima->name != ima_table) ++i;
+  return i;
+}
+
+// Daemon resume state, not workload data: the monitor incarnation the row
+// was last flushed from and that incarnation's raw cumulative counters. A
+// restarted daemon facing the SAME monitor restores its delta baseline
+// from them instead of re-adding counts the previous daemon persisted.
+constexpr ima::ImaColumn kResumeColumns[] = {
+    {"src_id", TypeId::kInt},
+    {"src_executions", TypeId::kInt},
+    {"src_sampled", TypeId::kInt},
+    {"src_actual", TypeId::kDouble},
+    {"src_estimated", TypeId::kDouble}};
+
+std::string WlName(const Mirror& m) {
+  return "wl_" + std::string(m.ima->name + std::strlen("imp_"));
+}
 
 }  // namespace
 
@@ -142,12 +151,18 @@ std::vector<HistoryAlertRule> DefaultHistoryAlertRules() {
 }
 
 Status CreateWorkloadSchema(Database* workload_db) {
-  for (const WlTable& t : kWlTables) {
-    auto r = workload_db->Execute(t.ddl);
-    IMON_RETURN_IF_ERROR(r.status());
+  for (const Mirror& m : kMirrors) {
+    std::string ddl =
+        "CREATE TABLE IF NOT EXISTS " + WlName(m) + " (captured_at INT";
+    auto add = [&ddl](std::span<const ima::ImaColumn> columns) {
+      for (const ima::ImaColumn& c : columns) {
+        ddl += std::string(", ") + c.name + " " + TypeName(c.type);
+      }
+    };
+    add(m.ima->columns);
+    if (m.keep == Keep::kCurrent) add(kResumeColumns);
+    IMON_RETURN_IF_ERROR(workload_db->Execute(ddl + ")").status());
   }
-  auto r = workload_db->Execute(kWlTemplatesDdl);
-  IMON_RETURN_IF_ERROR(r.status());
   return Status::OK();
 }
 
@@ -156,7 +171,9 @@ StorageDaemon::StorageDaemon(Database* monitored, Database* workload_db,
     : monitored_(monitored),
       workload_db_(workload_db),
       config_(config),
-      clock_(clock != nullptr ? clock : RealClock::Instance()) {}
+      clock_(clock != nullptr ? clock : RealClock::Instance()),
+      buffers_(kNumMirrors),
+      cursors_(kNumMirrors, 0) {}
 
 StorageDaemon::~StorageDaemon() { Stop(); }
 
@@ -212,18 +229,16 @@ void StorageDaemon::ThreadMain() {
   FlushNow().ok();
 }
 
-Result<std::vector<Row>> StorageDaemon::ReadIma(const std::string& table,
-                                                int64_t* last_seq,
-                                                int seq_col) {
-  std::string sql = "SELECT * FROM " + table;
-  if (last_seq != nullptr) {
-    sql += " WHERE seq > " + std::to_string(*last_seq);
-  }
+Result<std::vector<Row>> StorageDaemon::ReadIma(size_t mirror) {
+  const ima::ImaTable& table = *kMirrors[mirror].ima;
+  int64_t& cursor = cursors_[mirror];
+  std::string sql = std::string("SELECT * FROM ") + table.name;
+  if (table.seq_column >= 0) sql += " WHERE seq > " + std::to_string(cursor);
   IMON_ASSIGN_OR_RETURN(QueryResult r,
                         monitored_->Execute(sql, poll_session_.get()));
-  if (last_seq != nullptr) {
+  if (table.seq_column >= 0) {
     for (const Row& row : r.rows) {
-      *last_seq = std::max(*last_seq, row[seq_col].AsInt());
+      cursor = std::max(cursor, row[table.seq_column].AsInt());
     }
   }
   return std::move(r.rows);
@@ -262,53 +277,24 @@ Status StorageDaemon::PollCycle() {
   SampleMetricsHistory(now);
   EvaluateHistoryAlerts(now);
 
-  IMON_ASSIGN_OR_RETURN(std::vector<Row> workload,
-                        ReadIma("imp_workload", &last_workload_seq_));
-  IMON_ASSIGN_OR_RETURN(std::vector<Row> references,
-                        ReadIma("imp_references", &last_references_seq_));
-  IMON_ASSIGN_OR_RETURN(std::vector<Row> statistics,
-                        ReadIma("imp_statistics", &last_statistics_seq_));
-
-  ++polls_since_flush_;
-  bool flush_due = polls_since_flush_ >= config_.polls_per_flush;
-  std::vector<Row> statements, templates, tables, attributes, indexes;
-  if (flush_due) {
-    // Once per flush window: changed statements and templates (both
-    // seq-cursored — their registries stamp rows on every change) and
-    // full snapshots of the object tables.
-    IMON_ASSIGN_OR_RETURN(
-        statements,
-        ReadIma("imp_statements", &last_statements_seq_, /*seq_col=*/5));
-    IMON_ASSIGN_OR_RETURN(templates,
-                          ReadIma("imp_templates", &last_templates_seq_));
-    IMON_ASSIGN_OR_RETURN(tables, ReadIma("imp_tables", nullptr));
-    IMON_ASSIGN_OR_RETURN(attributes, ReadIma("imp_attributes", nullptr));
-    IMON_ASSIGN_OR_RETURN(indexes, ReadIma("imp_indexes", nullptr));
+  // A failed read leaves polls_since_flush_ alone, so a flush that was
+  // due stays due on the next poll.
+  bool flush_due = polls_since_flush_ + 1 >= config_.polls_per_flush;
+  std::vector<std::vector<Row>> read(kNumMirrors);
+  for (size_t i = 0; i < kNumMirrors; ++i) {
+    Feed feed = kMirrors[i].feed;
+    if (feed == Feed::kEveryPoll || (feed == Feed::kEveryFlush && flush_due)) {
+      IMON_ASSIGN_OR_RETURN(read[i], ReadIma(i));
+    }
   }
+  ++polls_since_flush_;
 
   // Rows are buffered unstamped; FlushNow stamps the whole window with
   // one captured_at when it writes, so a flush is one timestamp read and
   // one multi-row append per table instead of per-row work here.
-  auto buffer_rows = [](std::vector<Row> rows, std::vector<Row>* buffer) {
-    if (buffer->empty()) {
-      *buffer = std::move(rows);
-      return;
-    }
-    buffer->reserve(buffer->size() + rows.size());
-    for (Row& row : rows) buffer->push_back(std::move(row));
-  };
   {
     std::lock_guard<std::mutex> lock(buffer_mutex_);
-    buffer_rows(std::move(workload), &buf_workload_);
-    buffer_rows(std::move(references), &buf_references_);
-    buffer_rows(std::move(statistics), &buf_statistics_);
-    if (flush_due) {
-      buffer_rows(std::move(statements), &buf_statements_);
-      buffer_rows(std::move(templates), &buf_templates_);
-      buffer_rows(std::move(tables), &buf_tables_);
-      buffer_rows(std::move(attributes), &buf_attributes_);
-      buffer_rows(std::move(indexes), &buf_indexes_);
-    }
+    for (size_t i = 0; i < kNumMirrors; ++i) BufferRows(std::move(read[i]), i);
   }
   if (m_polls_ != nullptr) m_polls_->Add();
   {
@@ -344,14 +330,20 @@ void StorageDaemon::SampleMetricsHistory(int64_t now_micros) {
   rows.reserve(done.size());
   for (const metrics::HistorySample& s : done) {
     last_history_tick_ = std::max(last_history_tick_, s.tick_micros);
-    rows.push_back({Value::Text(s.name), Value::Int(s.resolution),
-                    Value::Int(s.tick_micros), Value::Int(s.min),
-                    Value::Int(s.max), Value::Int(s.sum), Value::Int(s.count),
-                    Value::Int(s.last)});
+    rows.push_back(ima::MetricsHistoryRow(s));
   }
   std::lock_guard<std::mutex> lock(buffer_mutex_);
-  buf_history_.reserve(buf_history_.size() + rows.size());
-  for (Row& r : rows) buf_history_.push_back(std::move(r));
+  BufferRows(std::move(rows), MirrorOf("imp_metrics_history"));
+}
+
+void StorageDaemon::BufferRows(std::vector<Row> rows, size_t mirror) {
+  std::vector<Row>& buffer = buffers_[mirror];
+  if (buffer.empty()) {
+    buffer = std::move(rows);
+    return;
+  }
+  buffer.reserve(buffer.size() + rows.size());
+  for (Row& row : rows) buffer.push_back(std::move(row));
 }
 
 void StorageDaemon::EvaluateHistoryAlerts(int64_t now_micros) {
@@ -475,25 +467,21 @@ Status StorageDaemon::FlushNow() {
     // Stamp the whole window once: every row persisted by this flush
     // shares one captured_at, read here rather than at buffering time.
     Value stamp = Value::Int(clock_->NowMicros());
-    int64_t total_rows = static_cast<int64_t>(
-        buf_statements_.size() + buf_workload_.size() +
-        buf_references_.size() + buf_tables_.size() + buf_attributes_.size() +
-        buf_indexes_.size() + buf_statistics_.size() + buf_templates_.size() +
-        buf_history_.size());
-    // Raw-row volume of this window drives the adaptive sampler; read it
+    // Raw-row volume of this window drives the adaptive sampler; count it
     // before the appends clear the buffers.
-    int64_t raw_window_rows =
-        static_cast<int64_t>(buf_workload_.size() + buf_references_.size());
-    IMON_RETURN_IF_ERROR(AppendRows("wl_statements", stamp, &buf_statements_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_workload", stamp, &buf_workload_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_references", stamp, &buf_references_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_tables", stamp, &buf_tables_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_attributes", stamp, &buf_attributes_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_indexes", stamp, &buf_indexes_));
-    IMON_RETURN_IF_ERROR(AppendRows("wl_statistics", stamp, &buf_statistics_));
-    IMON_RETURN_IF_ERROR(
-        AppendRows("wl_metrics_history", stamp, &buf_history_));
-    IMON_RETURN_IF_ERROR(FlushTemplates(stamp));
+    int64_t total_rows = 0;
+    int64_t raw_window_rows = 0;
+    for (size_t i = 0; i < kNumMirrors; ++i) {
+      int64_t rows = static_cast<int64_t>(buffers_[i].size());
+      total_rows += rows;
+      if (kMirrors[i].raw) raw_window_rows += rows;
+    }
+    for (size_t i = 0; i < kNumMirrors; ++i) {
+      IMON_RETURN_IF_ERROR(kMirrors[i].keep == Keep::kHistory
+                               ? AppendRows(WlName(kMirrors[i]), stamp,
+                                            &buffers_[i])
+                               : FlushTemplates(stamp, &buffers_[i]));
+    }
     AdaptSampleRate(raw_window_rows);
     if (m_flushes_ != nullptr) m_flushes_->Add();
     if (m_flush_batch_rows_ != nullptr) {
@@ -519,14 +507,15 @@ Status StorageDaemon::FlushNow() {
   return Status::OK();
 }
 
-Status StorageDaemon::FlushTemplates(const Value& stamp) {
-  if (buf_templates_.empty()) return Status::OK();
+Status StorageDaemon::FlushTemplates(const Value& stamp,
+                                     std::vector<Row>* rows) {
+  if (rows->empty()) return Status::OK();
   // Buffered imp_templates rows carry the monitor's CUMULATIVE counts;
   // when a window caught the same fingerprint more than once, only the
   // latest (max seq) row matters.
   std::unordered_map<uint64_t, const Row*> latest;
   std::vector<uint64_t> order;
-  for (const Row& row : buf_templates_) {
+  for (const Row& row : *rows) {
     uint64_t fp = static_cast<uint64_t>(row[1].AsInt());
     auto [it, inserted] = latest.emplace(fp, &row);
     if (inserted) {
@@ -630,7 +619,7 @@ Status StorageDaemon::FlushTemplates(const Value& stamp) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
     stats_.templates_flushed += upserts;
   }
-  buf_templates_.clear();
+  rows->clear();
   return Status::OK();
 }
 
@@ -670,9 +659,10 @@ Status StorageDaemon::PurgeExpired() {
       std::chrono::duration_cast<std::chrono::microseconds>(config_.retention)
           .count();
   int64_t purged = 0;
-  for (const WlTable& t : kWlTables) {
+  for (const Mirror& m : kMirrors) {
+    if (m.keep != Keep::kHistory) continue;
     auto r = workload_db_->Execute(
-        "DELETE FROM " + std::string(t.name) + " WHERE captured_at <= " +
+        "DELETE FROM " + WlName(m) + " WHERE captured_at <= " +
             std::to_string(cutoff),
         write_session_.get());
     IMON_RETURN_IF_ERROR(r.status());
@@ -721,32 +711,26 @@ DaemonStats StorageDaemon::stats() const {
 
 namespace {
 
-catalog::ColumnInfo AlertCol(const char* name, TypeId type) {
-  catalog::ColumnInfo c;
-  c.name = name;
-  c.type = type;
-  return c;
-}
-
 class AlertsProvider : public catalog::VirtualTableProvider {
  public:
   explicit AlertsProvider(const StorageDaemon* daemon) : daemon_(daemon) {}
 
   std::vector<catalog::ColumnInfo> Schema() const override {
-    return {AlertCol("rule", TypeId::kText),
-            AlertCol("series", TypeId::kText),
-            AlertCol("state", TypeId::kText),
-            AlertCol("value", TypeId::kInt),
-            AlertCol("threshold", TypeId::kInt),
-            AlertCol("breach_polls", TypeId::kInt),
-            AlertCol("fire_count", TypeId::kInt),
-            AlertCol("first_fired_micros", TypeId::kInt),
-            AlertCol("last_fired_micros", TypeId::kInt),
-            AlertCol("last_eval_micros", TypeId::kInt),
-            AlertCol("message", TypeId::kText)};
+    using catalog::Column;
+    return {Column("rule", TypeId::kText),
+            Column("series", TypeId::kText),
+            Column("state", TypeId::kText),
+            Column("value", TypeId::kInt),
+            Column("threshold", TypeId::kInt),
+            Column("breach_polls", TypeId::kInt),
+            Column("fire_count", TypeId::kInt),
+            Column("first_fired_micros", TypeId::kInt),
+            Column("last_fired_micros", TypeId::kInt),
+            Column("last_eval_micros", TypeId::kInt),
+            Column("message", TypeId::kText)};
   }
 
-  std::vector<Row> Snapshot() const override {
+  std::vector<Row> Rows(int64_t) const override {
     std::vector<Row> out;
     for (const HistoryAlertState& s : daemon_->SnapshotAlerts()) {
       out.push_back({Value::Text(s.rule), Value::Text(s.series),

@@ -11,6 +11,10 @@
 // SQL (internal session, so the polling itself is not recorded), buffers
 // the rows unstamped, and every `polls_per_flush` polls flushes them to
 // the workload DB, an ordinary database instance with the wl_* schema.
+// That schema is derived from the IMA definitions (ima.h): one mirror
+// table in daemon.cc names each mirrored IMA table, when it is read and
+// what the workload DB keeps of it, and wl_<x> is captured_at followed by
+// imp_<x>'s columns (wl_templates adds five src_* resume columns).
 // A flush stamps the whole window with one captured_at and appends each
 // table's buffer in a single multi-row INSERT (rows per flush is
 // recorded in the daemon.flush_batch_rows histogram). Retention purging
@@ -120,8 +124,8 @@ struct DaemonStats {
   int64_t sample_rate_ppm = 1000000;
 };
 
-/// Creates the wl_* schema (IMA schemas + captured_at timestamp column)
-/// in `workload_db`. Idempotent.
+/// Creates the wl_* schema (captured_at + the mirrored IMA tables'
+/// columns) in `workload_db`. Needs no monitored database. Idempotent.
 Status CreateWorkloadSchema(engine::Database* workload_db);
 
 class StorageDaemon {
@@ -195,10 +199,13 @@ class StorageDaemon {
   /// the returned status into poll_errors.
   Status PollCycle();
 
-  /// SELECT rows of one IMA table with seq > last_seq (or all).
-  /// `seq_col` is the ordinal of the seq column in the result rows.
-  Result<std::vector<Row>> ReadIma(const std::string& table,
-                                   int64_t* last_seq, int seq_col = 0);
+  /// SELECT the rows of one mirror's IMA table past its seq cursor,
+  /// advancing the cursor, or every row when the table has no seq column.
+  Result<std::vector<Row>> ReadIma(size_t mirror);
+
+  /// Append `rows` to one mirror's flush buffer. Caller holds
+  /// buffer_mutex_.
+  void BufferRows(std::vector<Row> rows, size_t mirror);
 
   /// Append buffered rows of one logical table to its wl_ twin as one
   /// multi-row INSERT, prepending `stamp` (captured_at) to every row.
@@ -209,7 +216,7 @@ class StorageDaemon {
   /// row per fingerprint, counts accumulated across daemon restarts and
   /// monitor resets (the persisted base is folded in on first sight of a
   /// fingerprint). Caller holds buffer_mutex_.
-  Status FlushTemplates(const Value& stamp);
+  Status FlushTemplates(const Value& stamp, std::vector<Row>* rows);
 
   /// Compare the flush window's raw-row volume against the pressure
   /// threshold and push an adjusted sample rate to the monitor.
@@ -242,17 +249,10 @@ class StorageDaemon {
   /// a concurrent FlushNow() never blocks behind the polling SQL.
   std::mutex poll_mutex_;
 
-  // Buffered rows per IMA source awaiting the next flush.
+  // Buffered rows per mirror awaiting the next flush, indexed like the
+  // mirror table in daemon.cc.
   std::mutex buffer_mutex_;
-  std::vector<Row> buf_statements_;
-  std::vector<Row> buf_workload_;
-  std::vector<Row> buf_references_;
-  std::vector<Row> buf_tables_;
-  std::vector<Row> buf_attributes_;
-  std::vector<Row> buf_indexes_;
-  std::vector<Row> buf_statistics_;
-  std::vector<Row> buf_templates_;
-  std::vector<Row> buf_history_;
+  std::vector<std::vector<Row>> buffers_;
 
   /// Per-fingerprint cumulative flush state: `persisted_*` mirrors the
   /// current wl_templates row, `last_*` the monitor values at the last
@@ -272,11 +272,8 @@ class StorageDaemon {
   std::unordered_map<uint64_t, TemplateFlushState> template_state_;
 
   // Poll-cycle state, guarded by poll_mutex_.
-  int64_t last_workload_seq_ = 0;
-  int64_t last_references_seq_ = 0;
-  int64_t last_statistics_seq_ = 0;
-  int64_t last_statements_seq_ = 0;
-  int64_t last_templates_seq_ = 0;
+  /// Newest seq read per mirror (used by mirrors of seq-stamped tables).
+  std::vector<int64_t> cursors_;
   /// Newest raw history tick already staged for persistence; each
   /// completed tick is written to wl_metrics_history exactly once.
   int64_t last_history_tick_ = 0;

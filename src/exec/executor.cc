@@ -748,7 +748,7 @@ class Executor {
   static std::vector<Row> Snapshot(const PlanNode& plan,
                                    const optimizer::BoundTable& bt) {
     int seq_col = bt.provider->SeqColumn();
-    int64_t min_seq = -1;
+    int64_t min_seq = std::numeric_limits<int64_t>::min();
     for (const Expr* f : plan.filters) {
       if (seq_col < 0) break;
       if (f->kind != sql::ExprKind::kBinary) continue;
@@ -762,8 +762,7 @@ class Executor {
         min_seq = std::max(min_seq, r->literal.AsInt());
       }
     }
-    return min_seq >= 0 ? bt.provider->SnapshotSince(min_seq)
-                        : bt.provider->Snapshot();
+    return bt.provider->Rows(min_seq);
   }
 
   ExecContext* ctx_;

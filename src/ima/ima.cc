@@ -1,5 +1,8 @@
 #include "ima/ima.h"
 
+#include <functional>
+#include <utility>
+
 namespace imon::ima {
 
 using catalog::ColumnInfo;
@@ -7,536 +10,246 @@ using engine::Database;
 using monitor::Monitor;
 using monitor::RefType;
 
-namespace {
-
-ColumnInfo Col(const char* name, TypeId type) {
-  ColumnInfo c;
-  c.name = name;
-  c.type = type;
-  return c;
+std::vector<ColumnInfo> ImaTable::Schema() const {
+  std::vector<ColumnInfo> out;
+  out.reserve(columns.size());
+  for (const ImaColumn& c : columns) {
+    out.push_back(catalog::Column(c.name, c.type));
+  }
+  return out;
 }
+
+Row MetricsHistoryRow(const metrics::HistorySample& s) {
+  return {Value::Text(s.name), Value::Int(s.resolution),
+          Value::Int(s.tick_micros), Value::Int(s.min), Value::Int(s.max),
+          Value::Int(s.sum), Value::Int(s.count), Value::Int(s.last)};
+}
+
+namespace {
 
 Value IntV(int64_t v) { return Value::Int(v); }
 Value HashV(uint64_t h) { return Value::Int(static_cast<int64_t>(h)); }
 
-class StatementsProvider : public catalog::VirtualTableProvider {
+/// Produces an IMA table's rows with seq > min_seq (tables without a seq
+/// column ignore min_seq).
+using RowsFn = std::function<std::vector<Row>(int64_t min_seq)>;
+
+/// Every IMA table's provider: Schema() and SeqColumn() come from the
+/// table's definition, the rows from `rows`.
+class ImaProvider final : public catalog::VirtualTableProvider {
  public:
-  explicit StatementsProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("hash", TypeId::kInt), Col("query_text", TypeId::kText),
-            Col("frequency", TypeId::kInt), Col("first_seen", TypeId::kInt),
-            Col("last_seen", TypeId::kInt), Col("seq", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotStatements());
-  }
-  /// seq is the record's change stamp (bumped on every frequency
-  /// update), so `WHERE seq > N` returns exactly the rows that changed
-  /// since the daemon's previous poll.
-  int SeqColumn() const override { return 5; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotStatementsSince(min_seq));
+  ImaProvider(const ImaTable& table, RowsFn rows)
+      : table_(table), rows_(std::move(rows)) {}
+  std::vector<ColumnInfo> Schema() const override { return table_.Schema(); }
+  int SeqColumn() const override { return table_.seq_column; }
+  std::vector<Row> Rows(int64_t min_seq) const override {
+    return rows_(min_seq);
   }
 
  private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::StatementRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& s : records) {
-      out.push_back({HashV(s.hash), Value::Text(s.text), IntV(s.frequency),
-                     IntV(s.first_seen_micros), IntV(s.last_seen_micros),
-                     IntV(s.seq)});
-    }
-    return out;
-  }
-
-  const Monitor* monitor_;
+  const ImaTable& table_;
+  RowsFn rows_;
 };
 
-class WorkloadProvider : public catalog::VirtualTableProvider {
- public:
-  explicit WorkloadProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("seq", TypeId::kInt),
-            Col("hash", TypeId::kInt),
-            Col("start_micros", TypeId::kInt),
-            Col("wallclock_nanos", TypeId::kInt),
-            Col("opt_cpu_nanos", TypeId::kInt),
-            Col("opt_disk_io", TypeId::kInt),
-            Col("exec_cpu_nanos", TypeId::kInt),
-            Col("exec_disk_io", TypeId::kInt),
-            Col("est_cpu", TypeId::kDouble),
-            Col("est_io", TypeId::kDouble),
-            Col("est_cost", TypeId::kDouble),
-            Col("actual_cost", TypeId::kDouble),
-            Col("rows_examined", TypeId::kInt),
-            Col("rows_output", TypeId::kInt),
-            Col("monitor_nanos", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotWorkload());
-  }
-  int SeqColumn() const override { return 0; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotWorkloadSince(min_seq));
-  }
+/// One row per record, built by `row`.
+template <typename Record, typename RowOf>
+std::vector<Row> Materialize(const std::vector<Record>& records, RowOf row) {
+  std::vector<Row> out;
+  out.reserve(records.size());
+  for (const Record& r : records) out.push_back(row(r));
+  return out;
+}
 
- private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::WorkloadRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& w : records) {
-      out.push_back({IntV(w.seq), HashV(w.hash), IntV(w.start_micros),
-                     IntV(w.wallclock_nanos), IntV(w.optimizer_cpu_nanos),
-                     IntV(w.optimizer_disk_io), IntV(w.execute_cpu_nanos),
-                     IntV(w.execute_disk_io), Value::Double(w.estimated_cpu),
-                     Value::Double(w.estimated_io),
-                     Value::Double(w.estimated_cpu + w.estimated_io),
-                     Value::Double(w.actual_cost), IntV(w.rows_examined),
-                     IntV(w.rows_output), IntV(w.monitor_nanos)});
-    }
-    return out;
-  }
+Row StatementRow(const monitor::StatementRecord& s) {
+  return {HashV(s.hash), Value::Text(s.text), IntV(s.frequency),
+          IntV(s.first_seen_micros), IntV(s.last_seen_micros), IntV(s.seq)};
+}
 
-  const Monitor* monitor_;
-};
+Row WorkloadRow(const monitor::WorkloadRecord& w) {
+  return {IntV(w.seq), HashV(w.hash), IntV(w.start_micros),
+          IntV(w.wallclock_nanos), IntV(w.optimizer_cpu_nanos),
+          IntV(w.optimizer_disk_io), IntV(w.execute_cpu_nanos),
+          IntV(w.execute_disk_io), Value::Double(w.estimated_cpu),
+          Value::Double(w.estimated_io),
+          Value::Double(w.estimated_cpu + w.estimated_io),
+          Value::Double(w.actual_cost), IntV(w.rows_examined),
+          IntV(w.rows_output), IntV(w.monitor_nanos)};
+}
 
-/// Compressed workload: one row per distinct statement template. The
-/// object-reference lists are serialized as comma-joined TEXT ("1,2" /
-/// "1:0,1:2") — per-template they are tiny and fixed, and keeping the
-/// row self-contained spares a second junction table. Quantiles are in
-/// optimizer cost units (the monitor buckets milli-cost fixed point).
-class TemplatesProvider : public catalog::VirtualTableProvider {
- public:
-  explicit TemplatesProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("seq", TypeId::kInt),
-            Col("fingerprint", TypeId::kInt),
-            Col("template_text", TypeId::kText),
-            Col("sample_hash", TypeId::kInt),
-            Col("sample_text", TypeId::kText),
-            Col("executions", TypeId::kInt),
-            Col("sampled_count", TypeId::kInt),
-            Col("total_actual", TypeId::kDouble),
-            Col("total_estimated", TypeId::kDouble),
-            Col("first_seen", TypeId::kInt),
-            Col("last_seen", TypeId::kInt),
-            Col("ref_tables", TypeId::kText),
-            Col("ref_attrs", TypeId::kText),
-            Col("p50_actual", TypeId::kDouble),
-            Col("p95_actual", TypeId::kDouble),
-            Col("p99_actual", TypeId::kDouble),
-            Col("p50_estimated", TypeId::kDouble),
-            Col("p95_estimated", TypeId::kDouble),
-            Col("p99_estimated", TypeId::kDouble)};
+/// The object-reference lists are serialized as comma-joined TEXT: per
+/// template they are tiny and fixed, and keeping the row self-contained
+/// spares a second junction table. Quantiles are in optimizer cost units
+/// (the monitor buckets milli-cost fixed point).
+Row TemplateRow(const monitor::TemplateRecord& t) {
+  std::string tables;
+  for (monitor::ObjectId id : t.ref_tables) {
+    if (!tables.empty()) tables.push_back(',');
+    tables += std::to_string(id);
   }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotTemplates());
+  std::string attrs;
+  for (const auto& [table_id, ordinal] : t.ref_attributes) {
+    if (!attrs.empty()) attrs.push_back(',');
+    attrs += std::to_string(table_id) + ":" + std::to_string(ordinal);
   }
-  /// seq is the template's change stamp (bumped on every execution), so
-  /// the daemon polls only templates touched since its last flush.
-  int SeqColumn() const override { return 0; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotTemplatesSince(min_seq));
-  }
+  auto q = [](const metrics::Log2Buckets& h, double p) {
+    return Value::Double(static_cast<double>(h.ValueAtPercentile(p)) / 1000.0);
+  };
+  return {IntV(t.seq), HashV(t.fingerprint), Value::Text(t.template_text),
+          HashV(t.sample_hash), Value::Text(t.sample_text),
+          IntV(t.executions), IntV(t.sampled_count),
+          Value::Double(t.total_actual), Value::Double(t.total_estimated),
+          IntV(t.first_seen_micros), IntV(t.last_seen_micros),
+          Value::Text(tables), Value::Text(attrs),
+          q(t.actual_cost_milli, 50), q(t.actual_cost_milli, 95),
+          q(t.actual_cost_milli, 99), q(t.estimated_cost_milli, 50),
+          q(t.estimated_cost_milli, 95), q(t.estimated_cost_milli, 99)};
+}
 
- private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::TemplateRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& t : records) {
-      std::string tables;
-      for (monitor::ObjectId id : t.ref_tables) {
-        if (!tables.empty()) tables.push_back(',');
-        tables += std::to_string(id);
-      }
-      std::string attrs;
-      for (const auto& [table_id, ordinal] : t.ref_attributes) {
-        if (!attrs.empty()) attrs.push_back(',');
-        attrs += std::to_string(table_id) + ":" + std::to_string(ordinal);
-      }
-      auto q = [](const metrics::Log2Buckets& h, double p) {
-        return Value::Double(static_cast<double>(h.ValueAtPercentile(p)) /
-                             1000.0);
-      };
-      out.push_back({IntV(t.seq), HashV(t.fingerprint),
-                     Value::Text(t.template_text), HashV(t.sample_hash),
-                     Value::Text(t.sample_text), IntV(t.executions),
-                     IntV(t.sampled_count), Value::Double(t.total_actual),
-                     Value::Double(t.total_estimated),
-                     IntV(t.first_seen_micros), IntV(t.last_seen_micros),
-                     Value::Text(tables), Value::Text(attrs),
-                     q(t.actual_cost_milli, 50), q(t.actual_cost_milli, 95),
-                     q(t.actual_cost_milli, 99),
-                     q(t.estimated_cost_milli, 50),
-                     q(t.estimated_cost_milli, 95),
-                     q(t.estimated_cost_milli, 99)});
-    }
-    return out;
+Row ReferenceRow(const monitor::ReferenceRecord& r) {
+  const char* type = "table";
+  switch (r.type) {
+    case RefType::kTable:
+      type = "table";
+      break;
+    case RefType::kAttribute:
+      type = "attribute";
+      break;
+    case RefType::kIndex:
+      type = "index";
+      break;
+    case RefType::kUsedIndex:
+      type = "used_index";
+      break;
   }
+  return {IntV(r.seq), HashV(r.hash), Value::Text(type),
+          IntV(r.object_id), IntV(r.table_id), IntV(r.ordinal)};
+}
 
-  const Monitor* monitor_;
-};
+Row StatisticsRow(const monitor::StatisticsRecord& s) {
+  return {IntV(s.seq), IntV(s.time_micros), IntV(s.current_sessions),
+          IntV(s.max_sessions_seen), IntV(s.locks_held),
+          IntV(s.lock_waits_total), IntV(s.deadlocks_total),
+          IntV(s.cache_logical_reads), IntV(s.cache_physical_reads),
+          Value::Double(s.cache_hit_ratio), IntV(s.disk_reads),
+          IntV(s.disk_writes), IntV(s.statements_executed)};
+}
 
-class ReferencesProvider : public catalog::VirtualTableProvider {
- public:
-  explicit ReferencesProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("seq", TypeId::kInt),         Col("hash", TypeId::kInt),
-            Col("object_type", TypeId::kText), Col("object_id", TypeId::kInt),
-            Col("table_id", TypeId::kInt),    Col("ordinal", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotReferences());
-  }
-  int SeqColumn() const override { return 0; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotReferencesSince(min_seq));
-  }
+/// One row per commit shard; aggregates are SUM() away.
+Row ShardRow(const monitor::ShardStats& s) {
+  return {IntV(s.shard), IntV(s.statements_committed),
+          IntV(s.workload_dropped), IntV(s.references_dropped),
+          IntV(s.traces_dropped), IntV(s.monitor_nanos),
+          IntV(s.workload_sampled_out)};
+}
 
- private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::ReferenceRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& r : records) {
-      const char* type = "table";
-      switch (r.type) {
-        case RefType::kTable:
-          type = "table";
-          break;
-        case RefType::kAttribute:
-          type = "attribute";
-          break;
-        case RefType::kIndex:
-          type = "index";
-          break;
-        case RefType::kUsedIndex:
-          type = "used_index";
-          break;
-      }
-      out.push_back({IntV(r.seq), HashV(r.hash), Value::Text(type),
-                     IntV(r.object_id), IntV(r.table_id), IntV(r.ordinal)});
-    }
-    return out;
-  }
+Row TraceRow(const monitor::TraceRecord& t) {
+  return {IntV(t.seq), HashV(t.hash), IntV(t.session_id),
+          Value::Text(monitor::StageName(t.stage)), IntV(t.start_micros),
+          IntV(t.duration_nanos)};
+}
 
-  const Monitor* monitor_;
-};
-
-class TablesProvider : public catalog::VirtualTableProvider {
- public:
-  TablesProvider(const Monitor* m, const catalog::Catalog* c)
-      : monitor_(m), catalog_(c) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("table_id", TypeId::kInt),
-            Col("table_name", TypeId::kText),
-            Col("frequency", TypeId::kInt),
-            Col("storage", TypeId::kText),
-            Col("data_pages", TypeId::kInt),
-            Col("overflow_pages", TypeId::kInt),
-            Col("row_count", TypeId::kInt)};
+std::vector<Row> TableRows(const Monitor* m, const catalog::Catalog* c) {
+  auto freq = m->TableFrequencies();
+  std::vector<Row> out;
+  for (const auto& t : c->ListTables()) {
+    auto it = freq.find(t.id);
+    out.push_back({IntV(t.id), Value::Text(t.name),
+                   IntV(it == freq.end() ? 0 : it->second),
+                   Value::Text(catalog::StorageStructureName(t.structure)),
+                   IntV(t.main_pages), IntV(t.overflow_pages),
+                   IntV(t.row_count)});
   }
-  std::vector<Row> Snapshot() const override {
-    auto freq = monitor_->TableFrequencies();
-    std::vector<Row> out;
-    for (const auto& t : catalog_->ListTables()) {
-      auto it = freq.find(t.id);
-      out.push_back({IntV(t.id), Value::Text(t.name),
+  return out;
+}
+
+std::vector<Row> AttributeRows(const Monitor* m, const catalog::Catalog* c) {
+  auto freq = m->AttributeFrequencies();
+  std::vector<Row> out;
+  for (const auto& t : c->ListTables()) {
+    for (const auto& col : t.columns) {
+      auto it = freq.find({t.id, col.ordinal});
+      auto stats = c->GetColumnStats(t.id, col.ordinal);
+      out.push_back({IntV(t.id), IntV(col.ordinal), Value::Text(col.name),
                      IntV(it == freq.end() ? 0 : it->second),
-                     Value::Text(catalog::StorageStructureName(t.structure)),
-                     IntV(t.main_pages), IntV(t.overflow_pages),
-                     IntV(t.row_count)});
+                     IntV(stats.has_histogram ? 1 : 0)});
     }
-    return out;
   }
+  return out;
+}
 
- private:
-  const Monitor* monitor_;
-  const catalog::Catalog* catalog_;
-};
-
-class AttributesProvider : public catalog::VirtualTableProvider {
- public:
-  AttributesProvider(const Monitor* m, const catalog::Catalog* c)
-      : monitor_(m), catalog_(c) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("table_id", TypeId::kInt), Col("ordinal", TypeId::kInt),
-            Col("attr_name", TypeId::kText), Col("frequency", TypeId::kInt),
-            Col("has_histogram", TypeId::kInt)};
+std::vector<Row> IndexRows(const Monitor* m, const catalog::Catalog* c) {
+  auto freq = m->IndexFrequencies();
+  std::vector<Row> out;
+  for (const auto& idx : c->ListIndexes()) {
+    if (idx.is_virtual) continue;
+    auto it = freq.find(idx.id);
+    out.push_back({IntV(idx.id), Value::Text(idx.name), IntV(idx.table_id),
+                   IntV(it == freq.end() ? 0 : it->second), IntV(idx.pages),
+                   IntV(idx.unique ? 1 : 0)});
   }
-  std::vector<Row> Snapshot() const override {
-    auto freq = monitor_->AttributeFrequencies();
-    std::vector<Row> out;
-    for (const auto& t : catalog_->ListTables()) {
-      for (const auto& col : t.columns) {
-        auto it = freq.find({t.id, col.ordinal});
-        auto stats = catalog_->GetColumnStats(t.id, col.ordinal);
-        out.push_back({IntV(t.id), IntV(col.ordinal), Value::Text(col.name),
-                       IntV(it == freq.end() ? 0 : it->second),
-                       IntV(stats.has_histogram ? 1 : 0)});
-      }
-    }
-    return out;
-  }
-
- private:
-  const Monitor* monitor_;
-  const catalog::Catalog* catalog_;
-};
-
-class IndexesProvider : public catalog::VirtualTableProvider {
- public:
-  IndexesProvider(const Monitor* m, const catalog::Catalog* c)
-      : monitor_(m), catalog_(c) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("index_id", TypeId::kInt), Col("index_name", TypeId::kText),
-            Col("table_id", TypeId::kInt), Col("frequency", TypeId::kInt),
-            Col("pages", TypeId::kInt),    Col("is_unique", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    auto freq = monitor_->IndexFrequencies();
-    std::vector<Row> out;
-    for (const auto& idx : catalog_->ListIndexes()) {
-      if (idx.is_virtual) continue;
-      auto it = freq.find(idx.id);
-      out.push_back({IntV(idx.id), Value::Text(idx.name), IntV(idx.table_id),
-                     IntV(it == freq.end() ? 0 : it->second),
-                     IntV(idx.pages), IntV(idx.unique ? 1 : 0)});
-    }
-    return out;
-  }
-
- private:
-  const Monitor* monitor_;
-  const catalog::Catalog* catalog_;
-};
-
-class StatisticsProvider : public catalog::VirtualTableProvider {
- public:
-  explicit StatisticsProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("seq", TypeId::kInt),
-            Col("time_micros", TypeId::kInt),
-            Col("current_sessions", TypeId::kInt),
-            Col("max_sessions", TypeId::kInt),
-            Col("locks_held", TypeId::kInt),
-            Col("lock_waits", TypeId::kInt),
-            Col("deadlocks", TypeId::kInt),
-            Col("cache_logical", TypeId::kInt),
-            Col("cache_physical", TypeId::kInt),
-            Col("cache_hit_ratio", TypeId::kDouble),
-            Col("disk_reads", TypeId::kInt),
-            Col("disk_writes", TypeId::kInt),
-            Col("statements", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotStatistics());
-  }
-  int SeqColumn() const override { return 0; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotStatisticsSince(min_seq));
-  }
-
- private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::StatisticsRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& s : records) {
-      out.push_back({IntV(s.seq), IntV(s.time_micros),
-                     IntV(s.current_sessions), IntV(s.max_sessions_seen),
-                     IntV(s.locks_held), IntV(s.lock_waits_total),
-                     IntV(s.deadlocks_total), IntV(s.cache_logical_reads),
-                     IntV(s.cache_physical_reads),
-                     Value::Double(s.cache_hit_ratio), IntV(s.disk_reads),
-                     IntV(s.disk_writes), IntV(s.statements_executed)});
-    }
-    return out;
-  }
-
-  const Monitor* monitor_;
-};
-
-/// One row per commit shard; aggregates are SUM() away, and ring-buffer
-/// saturation (the *_dropped columns) is visible per shard.
-class MonitorProvider : public catalog::VirtualTableProvider {
- public:
-  explicit MonitorProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("shard", TypeId::kInt),
-            Col("statements", TypeId::kInt),
-            Col("workload_dropped", TypeId::kInt),
-            Col("references_dropped", TypeId::kInt),
-            Col("traces_dropped", TypeId::kInt),
-            Col("monitor_nanos", TypeId::kInt),
-            Col("workload_sampled_out", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    std::vector<Row> out;
-    for (const auto& s : monitor_->ShardStatsSnapshot()) {
-      out.push_back({IntV(s.shard), IntV(s.statements_committed),
-                     IntV(s.workload_dropped), IntV(s.references_dropped),
-                     IntV(s.traces_dropped), IntV(s.monitor_nanos),
-                     IntV(s.workload_sampled_out)});
-    }
-    return out;
-  }
-
- private:
-  const Monitor* monitor_;
-};
-
-class MetricsProvider : public catalog::VirtualTableProvider {
- public:
-  explicit MetricsProvider(const metrics::MetricsRegistry* r) : registry_(r) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("name", TypeId::kText), Col("kind", TypeId::kText),
-            Col("value", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    std::vector<Row> out;
-    for (const auto& m : registry_->SnapshotValues()) {
-      out.push_back(
-          {Value::Text(m.name), Value::Text(m.kind), IntV(m.value)});
-    }
-    return out;
-  }
-
- private:
-  const metrics::MetricsRegistry* registry_;
-};
-
-class StageLatencyProvider : public catalog::VirtualTableProvider {
- public:
-  explicit StageLatencyProvider(const metrics::MetricsRegistry* r)
-      : registry_(r) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("name", TypeId::kText),      Col("count", TypeId::kInt),
-            Col("total_nanos", TypeId::kInt), Col("max_nanos", TypeId::kInt),
-            Col("p50_nanos", TypeId::kInt),  Col("p95_nanos", TypeId::kInt),
-            Col("p99_nanos", TypeId::kInt),
-            Col("last_updated_micros", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    std::vector<Row> out;
-    for (const auto& h : registry_->SnapshotHistograms()) {
-      out.push_back({Value::Text(h.name), IntV(h.count), IntV(h.sum),
-                     IntV(h.max), IntV(h.p50), IntV(h.p95), IntV(h.p99),
-                     IntV(h.last_update_micros)});
-    }
-    return out;
-  }
-
- private:
-  const metrics::MetricsRegistry* registry_;
-};
-
-/// The flight recorder: every retained ring entry of the engine's
-/// multi-resolution metrics history. Empty when the metrics layer is
-/// compiled out (-DIMON_METRICS=OFF).
-class MetricsHistoryProvider : public catalog::VirtualTableProvider {
- public:
-  explicit MetricsHistoryProvider(const metrics::MetricsHistory* h)
-      : history_(h) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("name", TypeId::kText), Col("resolution", TypeId::kInt),
-            Col("tick_micros", TypeId::kInt), Col("min", TypeId::kInt),
-            Col("max", TypeId::kInt),         Col("sum", TypeId::kInt),
-            Col("count", TypeId::kInt),       Col("last", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    std::vector<Row> out;
-    std::vector<metrics::HistorySample> samples = history_->Snapshot();
-    out.reserve(samples.size());
-    for (const auto& s : samples) {
-      out.push_back({Value::Text(s.name), IntV(s.resolution),
-                     IntV(s.tick_micros), IntV(s.min), IntV(s.max),
-                     IntV(s.sum), IntV(s.count), IntV(s.last)});
-    }
-    return out;
-  }
-
- private:
-  const metrics::MetricsHistory* history_;
-};
-
-class TracesProvider : public catalog::VirtualTableProvider {
- public:
-  explicit TracesProvider(const Monitor* m) : monitor_(m) {}
-  std::vector<ColumnInfo> Schema() const override {
-    return {Col("seq", TypeId::kInt),          Col("hash", TypeId::kInt),
-            Col("session_id", TypeId::kInt),   Col("stage", TypeId::kText),
-            Col("start_micros", TypeId::kInt),
-            Col("duration_nanos", TypeId::kInt)};
-  }
-  std::vector<Row> Snapshot() const override {
-    return Materialize(monitor_->SnapshotTraces());
-  }
-  int SeqColumn() const override { return 0; }
-  std::vector<Row> SnapshotSince(int64_t min_seq) const override {
-    return Materialize(monitor_->SnapshotTracesSince(min_seq));
-  }
-
- private:
-  static std::vector<Row> Materialize(
-      const std::vector<monitor::TraceRecord>& records) {
-    std::vector<Row> out;
-    out.reserve(records.size());
-    for (const auto& t : records) {
-      out.push_back({IntV(t.seq), HashV(t.hash), IntV(t.session_id),
-                     Value::Text(monitor::StageName(t.stage)),
-                     IntV(t.start_micros), IntV(t.duration_nanos)});
-    }
-    return out;
-  }
-
-  const Monitor* monitor_;
-};
+  return out;
+}
 
 }  // namespace
-
-const char* const kImaTableNames[13] = {
-    "imp_statements", "imp_workload",   "imp_references",
-    "imp_templates",  "imp_tables",     "imp_attributes",
-    "imp_indexes",    "imp_statistics", "imp_monitor",
-    "imp_metrics",    "imp_stage_latency", "imp_traces",
-    "imp_metrics_history"};
 
 Status RegisterImaTables(Database* db) {
   const Monitor* m = db->monitor();
   const catalog::Catalog* c = db->catalog();
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_statements", std::make_shared<StatementsProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_workload", std::make_shared<WorkloadProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_references", std::make_shared<ReferencesProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_templates", std::make_shared<TemplatesProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_tables", std::make_shared<TablesProvider>(m, c)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_attributes", std::make_shared<AttributesProvider>(m, c)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_indexes", std::make_shared<IndexesProvider>(m, c)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_statistics", std::make_shared<StatisticsProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_monitor", std::make_shared<MonitorProvider>(m)));
   const metrics::MetricsRegistry* registry = db->metrics();
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_metrics", std::make_shared<MetricsProvider>(registry)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_stage_latency", std::make_shared<StageLatencyProvider>(registry)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_traces", std::make_shared<TracesProvider>(m)));
-  IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-      "imp_metrics_history",
-      std::make_shared<MetricsHistoryProvider>(db->metrics_history())));
+  const metrics::MetricsHistory* history = db->metrics_history();
+  const std::pair<const char*, RowsFn> providers[] = {
+      {"imp_statements",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotStatements(min_seq), StatementRow);
+       }},
+      {"imp_workload",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotWorkload(min_seq), WorkloadRow);
+       }},
+      {"imp_references",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotReferences(min_seq), ReferenceRow);
+       }},
+      {"imp_templates",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotTemplates(min_seq), TemplateRow);
+       }},
+      {"imp_tables", [m, c](int64_t) { return TableRows(m, c); }},
+      {"imp_attributes", [m, c](int64_t) { return AttributeRows(m, c); }},
+      {"imp_indexes", [m, c](int64_t) { return IndexRows(m, c); }},
+      {"imp_statistics",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotStatistics(min_seq), StatisticsRow);
+       }},
+      {"imp_monitor",
+       [m](int64_t) { return Materialize(m->ShardStatsSnapshot(), ShardRow); }},
+      {"imp_metrics",
+       [registry](int64_t) {
+         return Materialize(registry->SnapshotValues(), [](const auto& v) {
+           return Row{Value::Text(v.name), Value::Text(v.kind), IntV(v.value)};
+         });
+       }},
+      {"imp_stage_latency",
+       [registry](int64_t) {
+         return Materialize(registry->SnapshotHistograms(), [](const auto& h) {
+           return Row{Value::Text(h.name), IntV(h.count), IntV(h.sum),
+                      IntV(h.max), IntV(h.p50), IntV(h.p95), IntV(h.p99),
+                      IntV(h.last_update_micros)};
+         });
+       }},
+      {"imp_traces",
+       [m](int64_t min_seq) {
+         return Materialize(m->SnapshotTraces(min_seq), TraceRow);
+       }},
+      {"imp_metrics_history",
+       [history](int64_t) {
+         return Materialize(history->Snapshot(), MetricsHistoryRow);
+       }},
+  };
+  for (const auto& [name, rows] : providers) {
+    IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
+        name, std::make_shared<ImaProvider>(FindImaTable(name), rows)));
+  }
   return Status::OK();
 }
 

@@ -424,10 +424,13 @@ void Monitor::NoteSessionCount(int64_t sessions) {
   }
 }
 
-std::vector<StatementRecord> Monitor::SnapshotStatements() const {
+std::vector<StatementRecord> Monitor::SnapshotStatements(
+    int64_t min_seq) const {
   // Merge the per-shard registries by hash: a statement issued from
   // sessions on different shards appears once, with summed frequency and
-  // the widest first/last-seen span.
+  // the widest first/last-seen span. Filter on the change stamp only
+  // after the merge: a shard-local row may predate min_seq while another
+  // shard's copy does not.
   std::unordered_map<uint64_t, StatementRecord> merged;
   {
     auto locks = LockAllShards();
@@ -447,7 +450,9 @@ std::vector<StatementRecord> Monitor::SnapshotStatements() const {
   }
   std::vector<StatementRecord> out;
   out.reserve(merged.size());
-  for (auto& [hash, record] : merged) out.push_back(std::move(record));
+  for (auto& [hash, record] : merged) {
+    if (record.seq > min_seq) out.push_back(std::move(record));
+  }
   // (first_seen, hash), like SnapshotTemplates: ties are common on a
   // simulated clock, and must not come out in hash-map order.
   std::sort(out.begin(), out.end(),
@@ -460,22 +465,8 @@ std::vector<StatementRecord> Monitor::SnapshotStatements() const {
   return out;
 }
 
-std::vector<StatementRecord> Monitor::SnapshotStatementsSince(
+std::vector<TemplateRecord> Monitor::SnapshotTemplates(
     int64_t min_seq) const {
-  // The registry keeps one row per hash, so "since" filters on the
-  // row's change stamp after the same cross-shard merge as the full
-  // snapshot (a shard-local row may predate min_seq while another
-  // shard's copy does not — merge first, then filter).
-  std::vector<StatementRecord> all = SnapshotStatements();
-  std::vector<StatementRecord> out;
-  out.reserve(all.size());
-  for (auto& record : all) {
-    if (record.seq > min_seq) out.push_back(std::move(record));
-  }
-  return out;
-}
-
-std::vector<TemplateRecord> Monitor::SnapshotTemplates() const {
   std::unordered_map<uint64_t, TemplateRecord> merged;
   {
     auto locks = LockAllShards();
@@ -511,7 +502,9 @@ std::vector<TemplateRecord> Monitor::SnapshotTemplates() const {
   }
   std::vector<TemplateRecord> out;
   out.reserve(merged.size());
-  for (auto& [fp, rec] : merged) out.push_back(std::move(rec));
+  for (auto& [fp, rec] : merged) {
+    if (rec.seq > min_seq) out.push_back(std::move(rec));
+  }
   // Deterministic order — greedy rules downstream iterate in this order,
   // so raw-mode analysis sorts its groups the same way.
   std::sort(out.begin(), out.end(),
@@ -524,23 +517,7 @@ std::vector<TemplateRecord> Monitor::SnapshotTemplates() const {
   return out;
 }
 
-std::vector<TemplateRecord> Monitor::SnapshotTemplatesSince(
-    int64_t min_seq) const {
-  std::vector<TemplateRecord> all = SnapshotTemplates();
-  std::vector<TemplateRecord> out;
-  out.reserve(all.size());
-  for (auto& rec : all) {
-    if (rec.seq > min_seq) out.push_back(std::move(rec));
-  }
-  return out;
-}
-
-std::vector<StatisticsRecord> Monitor::SnapshotStatistics() const {
-  std::lock_guard<std::mutex> lock(stats_mutex_);
-  return statistics_.Snapshot();
-}
-
-std::vector<StatisticsRecord> Monitor::SnapshotStatisticsSince(
+std::vector<StatisticsRecord> Monitor::SnapshotStatistics(
     int64_t min_seq) const {
   std::lock_guard<std::mutex> lock(stats_mutex_);
   return statistics_.SnapshotTail(
@@ -613,12 +590,7 @@ size_t FirstAfter(const Ring& ring, int64_t min_seq, LastSeq last_seq) {
 
 }  // namespace
 
-std::vector<WorkloadRecord> Monitor::SnapshotWorkload() const {
-  return SnapshotWorkloadSince(std::numeric_limits<int64_t>::min());
-}
-
-std::vector<WorkloadRecord> Monitor::SnapshotWorkloadSince(
-    int64_t min_seq) const {
+std::vector<WorkloadRecord> Monitor::SnapshotWorkload(int64_t min_seq) const {
   return CollectShards<WorkloadRecord>(
       [min_seq](const RingBuffer<KeptRecord>& ring,
                 std::vector<WorkloadRecord>* out) {
@@ -629,11 +601,7 @@ std::vector<WorkloadRecord> Monitor::SnapshotWorkloadSince(
       });
 }
 
-std::vector<ReferenceRecord> Monitor::SnapshotReferences() const {
-  return SnapshotReferencesSince(std::numeric_limits<int64_t>::min());
-}
-
-std::vector<ReferenceRecord> Monitor::SnapshotReferencesSince(
+std::vector<ReferenceRecord> Monitor::SnapshotReferences(
     int64_t min_seq) const {
   return CollectShards<ReferenceRecord>(
       [min_seq](const RingBuffer<KeptRecord>& ring,
@@ -645,11 +613,7 @@ std::vector<ReferenceRecord> Monitor::SnapshotReferencesSince(
       });
 }
 
-std::vector<TraceRecord> Monitor::SnapshotTraces() const {
-  return SnapshotTracesSince(std::numeric_limits<int64_t>::min());
-}
-
-std::vector<TraceRecord> Monitor::SnapshotTracesSince(int64_t min_seq) const {
+std::vector<TraceRecord> Monitor::SnapshotTraces(int64_t min_seq) const {
   return CollectShards<TraceRecord>(
       [min_seq](const RingBuffer<KeptRecord>& ring,
                 std::vector<TraceRecord>* out) {

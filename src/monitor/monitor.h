@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <deque>
 #include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -443,19 +444,35 @@ class Monitor {
   bool ShouldSampleStats();
 
   // -- snapshots for IMA / daemon / tests -------------------------------------
+  //
+  // Each returns the rows with seq > min_seq; the default returns all.
+  // Ring snapshots visit only the new tail of each shard's ring (the
+  // daemon's poll path), and a cursor may fall inside one record's block
+  // of reference or trace rows. All shard locks are held across the
+  // collection, so the merged view never retroactively grows below its
+  // maximum returned seq. The statement registry and the templates keep
+  // one current row per key, so there seq is a change stamp and the
+  // result is the rows that changed since min_seq, not history.
 
-  std::vector<StatementRecord> SnapshotStatements() const;
-  std::vector<WorkloadRecord> SnapshotWorkload() const;
-  std::vector<ReferenceRecord> SnapshotReferences() const;
-  std::vector<StatisticsRecord> SnapshotStatistics() const;
+  static constexpr int64_t kAllRows = std::numeric_limits<int64_t>::min();
+
+  std::vector<StatementRecord> SnapshotStatements(
+      int64_t min_seq = kAllRows) const;
+  std::vector<WorkloadRecord> SnapshotWorkload(
+      int64_t min_seq = kAllRows) const;
+  std::vector<ReferenceRecord> SnapshotReferences(
+      int64_t min_seq = kAllRows) const;
+  std::vector<StatisticsRecord> SnapshotStatistics(
+      int64_t min_seq = kAllRows) const;
   /// Compressed per-template aggregates, merged across shards by
   /// fingerprint (summed counts, merged quantile buckets, min/max seen
   /// span, representative = min (first_seen, hash)); deterministically
   /// ordered by (first_seen_micros, fingerprint).
-  std::vector<TemplateRecord> SnapshotTemplates() const;
-  /// Templates whose row changed since min_seq (change-stamp domain,
-  /// like SnapshotStatementsSince).
-  std::vector<TemplateRecord> SnapshotTemplatesSince(int64_t min_seq) const;
+  std::vector<TemplateRecord> SnapshotTemplates(
+      int64_t min_seq = kAllRows) const;
+  /// Stage traces (imp_traces): one row per marked stage of each kept
+  /// record, merged across shards in trace-seq order.
+  std::vector<TraceRecord> SnapshotTraces(int64_t min_seq = kAllRows) const;
 
   // -- adaptive workload sampling ---------------------------------------------
 
@@ -473,24 +490,6 @@ class Monitor {
   uint32_t workload_sample_rate_ppm() const {
     return sample_rate_ppm_.load(std::memory_order_relaxed);
   }
-
-  /// Incremental snapshots: rows with seq > min_seq, visiting only the
-  /// new tail of each shard's ring (the daemon's poll path); a cursor may
-  /// fall inside one record's block of reference or trace rows. All shard
-  /// locks are held across the collection, so the merged view never
-  /// retroactively grows below its maximum returned seq.
-  std::vector<WorkloadRecord> SnapshotWorkloadSince(int64_t min_seq) const;
-  std::vector<ReferenceRecord> SnapshotReferencesSince(int64_t min_seq) const;
-  std::vector<StatisticsRecord> SnapshotStatisticsSince(int64_t min_seq) const;
-  /// Statements whose record changed (insert or frequency bump) since
-  /// min_seq — the registry keeps one row per hash, so this returns
-  /// current rows, not history.
-  std::vector<StatementRecord> SnapshotStatementsSince(int64_t min_seq) const;
-
-  /// Stage traces (imp_traces): one row per marked stage of each kept
-  /// record, merged across shards in trace-seq order.
-  std::vector<TraceRecord> SnapshotTraces() const;
-  std::vector<TraceRecord> SnapshotTracesSince(int64_t min_seq) const;
 
   /// Per-shard commit/drop counters (one imp_monitor row per shard).
   std::vector<ShardStats> ShardStatsSnapshot() const;

@@ -865,22 +865,17 @@ class ConnectionsProvider : public catalog::VirtualTableProvider {
   explicit ConnectionsProvider(const Server* server) : server_(server) {}
 
   std::vector<catalog::ColumnInfo> Schema() const override {
-    auto col = [](const char* name, TypeId type) {
-      catalog::ColumnInfo c;
-      c.name = name;
-      c.type = type;
-      return c;
-    };
-    return {col("conn_id", TypeId::kInt),
-            col("peer", TypeId::kText),
-            col("state", TypeId::kText),
-            col("requests", TypeId::kInt),
-            col("bytes_in", TypeId::kInt),
-            col("bytes_out", TypeId::kInt),
-            col("last_activity_micros", TypeId::kInt)};
+    using catalog::Column;
+    return {Column("conn_id", TypeId::kInt),
+            Column("peer", TypeId::kText),
+            Column("state", TypeId::kText),
+            Column("requests", TypeId::kInt),
+            Column("bytes_in", TypeId::kInt),
+            Column("bytes_out", TypeId::kInt),
+            Column("last_activity_micros", TypeId::kInt)};
   }
 
-  std::vector<Row> Snapshot() const override {
+  std::vector<Row> Rows(int64_t) const override {
     std::vector<Row> rows;
     for (const auto& c : server_->SnapshotConnections()) {
       rows.push_back({Value::Int(c.conn_id), Value::Text(c.peer),

@@ -616,7 +616,7 @@ TuningOrchestrator::StatementCosts TuningOrchestrator::MeasureStatementCosts(
 
   double total_cost = 0;
   for (const auto& record :
-       monitor->SnapshotWorkloadSince(min_seq_exclusive)) {
+       monitor->SnapshotWorkload(min_seq_exclusive)) {
     out.max_seq = std::max(out.max_seq, record.seq);
     if (select_hashes.count(record.hash) == 0) continue;
     total_cost += record.actual_cost;
@@ -901,12 +901,7 @@ TunerStats TuningOrchestrator::stats() const {
 
 namespace {
 
-ColumnInfo Col(const char* name, TypeId type) {
-  ColumnInfo c;
-  c.name = name;
-  c.type = type;
-  return c;
-}
+using catalog::Column;
 
 class TuningActionsProvider : public catalog::VirtualTableProvider {
  public:
@@ -914,26 +909,26 @@ class TuningActionsProvider : public catalog::VirtualTableProvider {
       : orchestrator_(orchestrator) {}
 
   std::vector<ColumnInfo> Schema() const override {
-    return {Col("action_id", TypeId::kInt),
-            Col("state", TypeId::kText),
-            Col("kind", TypeId::kText),
-            Col("table_name", TypeId::kText),
-            Col("index_name", TypeId::kText),
-            Col("action_sql", TypeId::kText),
-            Col("inverse_sql", TypeId::kText),
-            Col("benefit", TypeId::kDouble),
-            Col("baseline_cost", TypeId::kDouble),
-            Col("observed_cost", TypeId::kDouble),
-            Col("observed_execs", TypeId::kInt),
-            Col("proposed_at", TypeId::kInt),
-            Col("applied_at", TypeId::kInt),
-            Col("decided_at", TypeId::kInt),
-            Col("detail", TypeId::kText),
-            Col("decision_id", TypeId::kInt),
-            Col("rule", TypeId::kText)};
+    return {Column("action_id", TypeId::kInt),
+            Column("state", TypeId::kText),
+            Column("kind", TypeId::kText),
+            Column("table_name", TypeId::kText),
+            Column("index_name", TypeId::kText),
+            Column("action_sql", TypeId::kText),
+            Column("inverse_sql", TypeId::kText),
+            Column("benefit", TypeId::kDouble),
+            Column("baseline_cost", TypeId::kDouble),
+            Column("observed_cost", TypeId::kDouble),
+            Column("observed_execs", TypeId::kInt),
+            Column("proposed_at", TypeId::kInt),
+            Column("applied_at", TypeId::kInt),
+            Column("decided_at", TypeId::kInt),
+            Column("detail", TypeId::kText),
+            Column("decision_id", TypeId::kInt),
+            Column("rule", TypeId::kText)};
   }
 
-  std::vector<Row> Snapshot() const override {
+  std::vector<Row> Rows(int64_t) const override {
     std::vector<Row> out;
     for (const TuningAction& a : orchestrator_->SnapshotActions()) {
       double benefit = a.revalidated_benefit != 0 ? a.revalidated_benefit
@@ -969,17 +964,17 @@ class TuningProvenanceProvider : public catalog::VirtualTableProvider {
       : orchestrator_(orchestrator) {}
 
   std::vector<ColumnInfo> Schema() const override {
-    return {Col("decision_id", TypeId::kInt),
-            Col("action_id", TypeId::kInt),
-            Col("rule", TypeId::kText),
-            Col("fingerprint", TypeId::kInt),
-            Col("executions", TypeId::kInt),
-            Col("total_actual", TypeId::kDouble),
-            Col("total_estimated", TypeId::kDouble),
-            Col("recommended_at", TypeId::kInt)};
+    return {Column("decision_id", TypeId::kInt),
+            Column("action_id", TypeId::kInt),
+            Column("rule", TypeId::kText),
+            Column("fingerprint", TypeId::kInt),
+            Column("executions", TypeId::kInt),
+            Column("total_actual", TypeId::kDouble),
+            Column("total_estimated", TypeId::kDouble),
+            Column("recommended_at", TypeId::kInt)};
   }
 
-  std::vector<Row> Snapshot() const override {
+  std::vector<Row> Rows(int64_t) const override {
     std::vector<Row> out;
     for (const ProvenanceRecord& p : orchestrator_->SnapshotProvenance()) {
       out.push_back({Value::Int(p.decision_id),

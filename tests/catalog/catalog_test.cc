@@ -127,7 +127,7 @@ TEST(CatalogTest, VirtualTableNamespaceShared) {
   class Empty : public VirtualTableProvider {
    public:
     std::vector<ColumnInfo> Schema() const override { return {}; }
-    std::vector<Row> Snapshot() const override { return {}; }
+    std::vector<Row> Rows(int64_t) const override { return {}; }
   };
   ASSERT_TRUE(
       catalog.RegisterVirtualTable("v", std::make_shared<Empty>()).ok());

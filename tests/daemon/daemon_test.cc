@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ima/ima.h"
@@ -68,6 +70,45 @@ TEST_F(DaemonTest, SchemaCreationIsIdempotent) {
   ASSERT_TRUE(CreateWorkloadSchema(&workload_db_).ok());
   EXPECT_TRUE(workload_db_.catalog()->HasTable("wl_workload"));
   EXPECT_TRUE(workload_db_.catalog()->HasTable("wl_statistics"));
+}
+
+// Each wl_* table is captured_at followed by its IMA table's columns, in
+// order and with the same types; wl_templates then ends in the daemon's
+// five src_* resume columns.
+TEST_F(DaemonTest, WorkloadSchemaMirrorsImaTables) {
+  ASSERT_TRUE(CreateWorkloadSchema(&workload_db_).ok());
+  ASSERT_TRUE(CreateWorkloadSchema(&workload_db_).ok());
+  const std::string mirrored[] = {
+      "imp_statements", "imp_workload", "imp_references",
+      "imp_tables", "imp_attributes", "imp_indexes",
+      "imp_statistics", "imp_metrics_history", "imp_templates"};
+  EXPECT_EQ(workload_db_.catalog()->ListTables().size(), std::size(mirrored));
+  using Columns = std::vector<std::pair<std::string, TypeId>>;
+  for (const std::string& ima_table : mirrored) {
+    const std::string wl_table = "wl_" + ima_table.substr(4);
+    SCOPED_TRACE(wl_table);
+    auto provider = monitored_.catalog()->GetVirtualTable(ima_table);
+    ASSERT_NE(provider, nullptr);
+    Columns expected = {{"captured_at", TypeId::kInt}};
+    for (const catalog::ColumnInfo& c : provider->Schema()) {
+      expected.emplace_back(c.name, c.type);
+    }
+    if (ima_table == "imp_templates") {
+      Columns resume = {{"src_id", TypeId::kInt},
+                        {"src_executions", TypeId::kInt},
+                        {"src_sampled", TypeId::kInt},
+                        {"src_actual", TypeId::kDouble},
+                        {"src_estimated", TypeId::kDouble}};
+      expected.insert(expected.end(), resume.begin(), resume.end());
+    }
+    auto table = workload_db_.catalog()->GetTable(wl_table);
+    ASSERT_TRUE(table.ok()) << table.status();
+    Columns actual;
+    for (const catalog::ColumnInfo& c : table->columns) {
+      actual.emplace_back(c.name, c.type);
+    }
+    EXPECT_EQ(actual, expected);
+  }
 }
 
 TEST_F(DaemonTest, PollAndFlushPersistWorkload) {
@@ -177,8 +218,15 @@ TEST_F(DaemonTest, BytesWrittenAndAlertsMirrorIntoMetricsRegistry) {
       alerts_metric = row[1].AsInt();
     }
   }
+#ifdef IMON_METRICS_DISABLED
+  // Compiled out, the registry's counters are no-ops and read 0, while
+  // DaemonStats (asserted above) still counts.
+  EXPECT_EQ(bytes_metric, 0);
+  EXPECT_EQ(alerts_metric, 0);
+#else
   EXPECT_EQ(bytes_metric, stats.bytes_written_estimate);
   EXPECT_EQ(alerts_metric, stats.alerts_raised);
+#endif
 }
 
 TEST_F(DaemonTest, RetentionBoundaryIsInclusiveAtExactlySevenDays) {

@@ -12,11 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/metrics.h"
@@ -166,18 +168,58 @@ TEST_F(ImaObservabilityTest, TracesTableExposesOrderedSpans) {
        {"parse", "bind", "optimize", "execute", "commit"}) {
     EXPECT_GT(per_stage[stage], 0) << stage;
   }
+}
 
-  // Seq predicate pushdown (SnapshotSince) agrees with a full scan.
-  int64_t mid = all.rows[all.rows.size() / 2][0].AsInt();
-  QueryResult tail = MustExec("SELECT seq FROM imp_traces WHERE seq > " +
-                              std::to_string(mid));
-  size_t expected = 0;
-  for (const Row& row : all.rows) {
-    if (row[0].AsInt() > mid) ++expected;
+// `WHERE seq > mid` is pushed down into the provider on every table with
+// a seq column, and must return exactly the full scan's rows past mid.
+TEST_F(ImaObservabilityTest, SeqPushdownMatchesFullScanOnEveryCursoredTable) {
+  const std::pair<std::string, int> cursored[] = {
+      {"imp_statements", 5}, {"imp_workload", 0},   {"imp_references", 0},
+      {"imp_templates", 0},  {"imp_statistics", 0}, {"imp_traces", 0}};
+  std::vector<std::string> defined;
+  for (const ImaTable& t : kImaTables) {
+    if (t.seq_column >= 0) defined.push_back(t.name);
   }
-  // The scans above also commit traces, so the tail can only have grown.
-  EXPECT_GE(tail.rows.size(), expected);
-  for (const Row& row : tail.rows) EXPECT_GT(row[0].AsInt(), mid);
+  std::vector<std::string> expected_tables;
+  for (const auto& [name, seq_column] : cursored) {
+    expected_tables.push_back(name);
+  }
+  EXPECT_EQ(defined, expected_tables);
+
+  RunSmallWorkload();
+  for (int i = 0; i < 3; ++i) db_->SampleSystemStats();
+  // Reads on an internal session commit nothing, so the full scan and
+  // the pushed-down one see the same monitor state.
+  std::unique_ptr<engine::Session> internal = db_->CreateInternalSession();
+  for (const auto& [name, seq_column] : cursored) {
+    SCOPED_TRACE(name);
+    EXPECT_EQ(FindImaTable(name).seq_column, seq_column);
+    auto all = db_->Execute("SELECT * FROM " + name, internal.get());
+    ASSERT_TRUE(all.ok()) << all.status();
+#ifdef IMON_METRICS_DISABLED
+    if (name == "imp_traces") {
+      EXPECT_TRUE(all->rows.empty());  // spans compile out with metrics
+      continue;
+    }
+#endif
+    ASSERT_EQ(all->columns[seq_column], "seq");
+    ASSERT_GE(all->rows.size(), 2u);
+    std::vector<int64_t> seqs;
+    for (const Row& row : all->rows) seqs.push_back(row[seq_column].AsInt());
+    std::sort(seqs.begin(), seqs.end());
+    int64_t mid = seqs[(seqs.size() - 1) / 2];
+    std::vector<Row> expected;
+    for (const Row& row : all->rows) {
+      if (row[seq_column].AsInt() > mid) expected.push_back(row);
+    }
+    EXPECT_FALSE(expected.empty());
+    EXPECT_LT(expected.size(), all->rows.size());
+    auto tail = db_->Execute(
+        "SELECT * FROM " + name + " WHERE seq > " + std::to_string(mid),
+        internal.get());
+    ASSERT_TRUE(tail.ok()) << tail.status();
+    EXPECT_EQ(tail->rows, expected);
+  }
 }
 
 TEST_F(ImaObservabilityTest, MonitorTableAccountsAllCommitsPerShard) {

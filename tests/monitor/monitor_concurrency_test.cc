@@ -251,7 +251,7 @@ TEST(MonitorConcurrencyTest, SincePollingNeverGoesBackwardOrLosesRecords) {
   int64_t cursor = 0;
   size_t polled = 0;
   while (polled < static_cast<size_t>(kThreads * kCommits)) {
-    std::vector<WorkloadRecord> batch = m.SnapshotWorkloadSince(cursor);
+    std::vector<WorkloadRecord> batch = m.SnapshotWorkload(cursor);
     for (size_t i = 0; i < batch.size(); ++i) {
       EXPECT_GT(batch[i].seq, cursor);
       cursor = batch[i].seq;
@@ -263,7 +263,7 @@ TEST(MonitorConcurrencyTest, SincePollingNeverGoesBackwardOrLosesRecords) {
   // Nothing was double-counted: the cursor walked exactly the committed
   // workload records.
   EXPECT_EQ(polled, static_cast<size_t>(kThreads * kCommits));
-  EXPECT_TRUE(m.SnapshotWorkloadSince(cursor).empty());
+  EXPECT_TRUE(m.SnapshotWorkload(cursor).empty());
 }
 
 /// The comparable identity of a record sequence (timings differ run to
@@ -300,16 +300,16 @@ TEST(MonitorConcurrencyTest, SingleThreadedSequenceIdenticalAcrossShardCounts) {
       CommitOne(&wide, 0, chunk * 37 + i);
     }
     std::vector<WorkloadRecord> flat_batch =
-        flat.SnapshotWorkloadSince(flat_cursor);
+        flat.SnapshotWorkload(flat_cursor);
     std::vector<WorkloadRecord> wide_batch =
-        wide.SnapshotWorkloadSince(wide_cursor);
+        wide.SnapshotWorkload(wide_cursor);
     ASSERT_EQ(Ids(flat_batch), Ids(wide_batch)) << "chunk " << chunk;
     ASSERT_FALSE(flat_batch.empty());
     flat_cursor = flat_batch.back().seq;
     wide_cursor = wide_batch.back().seq;
 
-    ASSERT_EQ(Ids(flat.SnapshotReferencesSince(0)),
-              Ids(wide.SnapshotReferencesSince(0)))
+    ASSERT_EQ(Ids(flat.SnapshotReferences(0)),
+              Ids(wide.SnapshotReferences(0)))
         << "chunk " << chunk;
   }
 

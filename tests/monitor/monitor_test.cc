@@ -160,9 +160,9 @@ TEST(MonitorTest, IncrementalSnapshotsReturnOnlyNewTail) {
   RunStatement(&m, "q1");
   RunStatement(&m, "q2");
   int64_t last_seq = m.SnapshotWorkload().back().seq;
-  EXPECT_TRUE(m.SnapshotWorkloadSince(last_seq).empty());
+  EXPECT_TRUE(m.SnapshotWorkload(last_seq).empty());
   RunStatement(&m, "q3");
-  auto fresh = m.SnapshotWorkloadSince(last_seq);
+  auto fresh = m.SnapshotWorkload(last_seq);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].hash, HashStatement("q3"));
   // Agreement with the full snapshot.
@@ -402,7 +402,7 @@ TEST(MonitorTest, ReferencesSinceCursorInsideARecordsBlock) {
   Monitor m(SmallConfig(), RealClock::Instance());
   RunStatement(&m, "q1");  // workload seq 1, references 2-5
   RunStatement(&m, "q2");  // workload seq 6, references 7-10
-  std::vector<ReferenceRecord> tail = m.SnapshotReferencesSince(3);
+  std::vector<ReferenceRecord> tail = m.SnapshotReferences(3);
   ASSERT_EQ(tail.size(), 6u);
   EXPECT_EQ(tail[0].seq, 4);
   EXPECT_EQ(tail[0].type, RefType::kIndex);
@@ -412,11 +412,11 @@ TEST(MonitorTest, ReferencesSinceCursorInsideARecordsBlock) {
   EXPECT_EQ(tail[2].type, RefType::kTable);
   EXPECT_EQ(tail[2].hash, HashStatement("q2"));
   // The workload record's own seq is not a reference row.
-  tail = m.SnapshotReferencesSince(5);
+  tail = m.SnapshotReferences(5);
   ASSERT_EQ(tail.size(), 4u);
   EXPECT_EQ(tail[0].seq, 7);
-  EXPECT_EQ(m.SnapshotReferencesSince(9).size(), 1u);
-  EXPECT_TRUE(m.SnapshotReferencesSince(10).empty());
+  EXPECT_EQ(m.SnapshotReferences(9).size(), 1u);
+  EXPECT_TRUE(m.SnapshotReferences(10).empty());
 }
 
 /// One statement of template "SELECT a FROM t WHERE id = ?" binding

@@ -81,10 +81,10 @@ TEST(MonitorTraceTest, SnapshotTracesSinceFiltersBySeq) {
   std::vector<TraceRecord> all = m.SnapshotTraces();
   ASSERT_FALSE(all.empty());
   int64_t mid = all[all.size() / 2].seq;
-  std::vector<TraceRecord> tail = m.SnapshotTracesSince(mid);
+  std::vector<TraceRecord> tail = m.SnapshotTraces(mid);
   ASSERT_EQ(tail.size(), all.size() - all.size() / 2 - 1);
   for (const TraceRecord& tr : tail) EXPECT_GT(tr.seq, mid);
-  EXPECT_TRUE(m.SnapshotTracesSince(all.back().seq).empty());
+  EXPECT_TRUE(m.SnapshotTraces(all.back().seq).empty());
 }
 
 /// Parse, execute and commit only (no bind or optimize stage), as a
@@ -130,12 +130,12 @@ TEST(MonitorTraceTest, TraceWindowCountsStageRowsNotStatements) {
   EXPECT_EQ(m.ShardStatsSnapshot()[0].traces_dropped, 13);
 
   // A cursor inside a record's block returns the rest of that block.
-  std::vector<TraceRecord> tail = m.SnapshotTracesSince(18);
+  std::vector<TraceRecord> tail = m.SnapshotTraces(18);
   ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail[0].seq, 19);
   EXPECT_EQ(tail[0].stage, Stage::kOptimize);
   // A since-seq below the window still returns only the visible rows.
-  EXPECT_EQ(m.SnapshotTracesSince(10).size(), 8u);
+  EXPECT_EQ(m.SnapshotTraces(10).size(), 8u);
 
   // Clear empties the window; the drop count is cumulative.
   m.Clear();
