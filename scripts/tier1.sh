@@ -31,8 +31,12 @@ fi
 #            loosen a ratio bound);
 #          once: each attempt's own value, and a miss fails at once.
 #   ref    a committed baseline, or a file in another build tree: then
-#          the bench also runs there in every attempt, first, and the
-#          best of that side is kept too.
+#          each attempt runs the bench as $pairs pairs of that tree and
+#          build/, alternating which side runs first, and the value is
+#          the median of the per-pair ratios (build over ref) of every
+#          pair so far, against a ref of 1. Drift between the two
+#          processes cancels, and a retry adds pairs to the estimate
+#          instead of drawing a fresh one.
 # Relative bounds are wide where the figure is milli- or microsecond
 # scale (compression, history) or a full network round trip (server).
 # The scan and join gates take the 1-worker figures: the pipelines run
@@ -40,7 +44,7 @@ fi
 # than the code on a small CI box.
 gates=(
   #bench                  json                     metric                       better bound keep ref
-  "observability_overhead BENCH_observability.json elapsed_s                    lower  5%    best build-nometrics/BENCH_observability_baseline.json"
+  "observability_overhead BENCH_observability.json elapsed_s                    lower  5%    each build-nometrics/BENCH_observability_baseline.json"
   "fig4_overhead          BENCH_fig4.json          ratio_1m_monitoring_pct      lower  120   best -"
   "micro_exec_batch       BENCH_exec.json          batched_rows_per_sec         higher 15%   best bench/BENCH_exec.baseline.json"
   "micro_parallel_scan    BENCH_parallel.json      scan_w1_rows_per_sec         higher 15%   best bench/BENCH_parallel.baseline.json"
@@ -54,6 +58,8 @@ gates=(
   "micro_server           BENCH_server.json        point_select_rps             higher 40%   best bench/BENCH_server.baseline.json"
   "micro_server           BENCH_server.json        fingerprint_match            higher 1     once -"
 )
+# Pairs per attempt for a row whose ref is in another build tree.
+pairs=5
 
 # The test binaries built under TSan and the ctest names they run.
 tsan_suites=(
@@ -99,30 +105,55 @@ judge() {
   }'
 }
 
+median() {  # median <values...>
+  printf '%s\n' "$@" | sort -g | awk '{ a[n++] = $1 }
+    END { print n % 2 ? a[int(n / 2)] : (a[n / 2 - 1] + a[n / 2]) / 2 }'
+}
+
 # gate <bench> [args...]: runs the bench up to 3 times, until every row
 # of `gates` for it passes in the same attempt.
 gate() {
-  local bench=$1 attempt row name json metric better bound keep ref
-  local v r failed report verdict
-  local -A best=() best_ref=()
+  local bench=$1 attempt i tree row name json metric better bound keep ref
+  local v r failed report verdict pair_tree="" runs=1 order=()
+  local -A best=() best_ref=() ratios=()
+  for row in "${gates[@]}"; do
+    read -r name json metric better bound keep ref <<<"$row"
+    [[ "$name" != "$bench" || "$ref" != build*/* ]] || pair_tree=${ref%%/*} runs=$pairs
+  done
+  shift
   echo "== tier-1: $bench gate =="
   for attempt in 1 2 3; do
-    for row in "${gates[@]}"; do  # a ref in another build tree is measured first
-      read -r name json metric better bound keep ref <<<"$row"
-      if [[ "$name" == "$bench" && "$ref" == build*/* ]]; then
-        (cd "${ref%%/*}" && "./bench/$@" >/dev/null)
+    for ((i = 0; i < runs; ++i)); do
+      order=(build)
+      if [[ -n "$pair_tree" ]]; then  # alternate which side runs first
+        order=("$pair_tree" build)
+        ((i % 2 == 0)) || order=(build "$pair_tree")
       fi
+      for tree in "${order[@]}"; do
+        (cd "$tree" && "./bench/$bench" "$@" >/dev/null)
+      done
+      for row in "${gates[@]}"; do
+        read -r name json metric better bound keep ref <<<"$row"
+        [[ "$name" == "$bench" && "$ref" == build*/* ]] || continue
+        v=$(json_value "build/$json" "$metric")
+        r=$(json_value "$ref" "$metric")
+        ratios[$metric]+=" $(awk -v v="$v" -v r="$r" 'BEGIN { print v / r }')"
+      done
     done
-    (cd build && "./bench/$@" >/dev/null)
     failed="" report=""
     for row in "${gates[@]}"; do
       read -r name json metric better bound keep ref <<<"$row"
       [[ "$name" == "$bench" ]] || continue
-      v=$(json_value "build/$json" "$metric")
+      r=""
+      if [[ "$ref" == build*/* ]]; then
+        # shellcheck disable=SC2086  # one word per pair
+        v=$(median ${ratios[$metric]}) r=1
+      else
+        v=$(json_value "build/$json" "$metric")
+      fi
       [[ "$keep" != best ]] || v=$(better_of "$better" "${best[$metric]:-$v}" "$v")
       best[$metric]=$v
-      r=""
-      if [[ "$ref" != - ]]; then
+      if [[ "$ref" != - && "$ref" != build*/* ]]; then
         # Keeping the best of a committed baseline leaves it as it is.
         r=$(json_value "$ref" "$metric")
         r=$(better_of "$better" "${best_ref[$metric]:-$r}" "$r")
@@ -132,6 +163,7 @@ gate() {
         [[ "$keep" != once ]] || { echo "tier-1: $bench $metric $verdict, not retried" >&2; exit 1; }
         failed+=" $metric"
       fi
+      [[ -z "${ratios[$metric]:-}" ]] || verdict+=" [pair ratios:${ratios[$metric]}]"
       report+=" $metric $verdict;"
     done
     echo "  attempt $attempt:${report%;}"

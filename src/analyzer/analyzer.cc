@@ -9,6 +9,7 @@
 #include "common/clock.h"
 #include "common/hash.h"
 #include "optimizer/binder.h"
+#include "sql/lexer.h"
 #include "sql/parser.h"
 
 namespace imon::analyzer {
@@ -112,16 +113,6 @@ Analyzer::Fetch(const std::string& logical_name) {
   return std::make_pair(std::move(r.rows), std::move(cols));
 }
 
-namespace {
-
-bool IsSelectText(const std::string& text) {
-  std::string head = text.substr(0, 6);
-  for (char& c : head) c = static_cast<char>(std::tolower(c));
-  return head == "select";
-}
-
-}  // namespace
-
 Result<std::vector<Analyzer::StatementInfo>> Analyzer::LoadStatements() {
   IMON_ASSIGN_OR_RETURN(auto templates, Fetch("templates"));
   auto& [rows, cols] = templates;
@@ -149,7 +140,7 @@ Result<std::vector<Analyzer::StatementInfo>> Analyzer::LoadStatements() {
     info.total_actual = row[actual_col].AsDouble();
     info.total_estimated = row[est_col].AsDouble();
     info.first_seen_micros = row[first_col].AsInt();
-    info.is_select = IsSelectText(info.text);
+    info.is_select = sql::IsSelectStatement(info.text);
     std::set<ObjectId> tables;
     const std::string csv = row[tables_col].AsText();
     for (size_t pos = 0; pos < csv.size();) {

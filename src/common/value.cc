@@ -261,6 +261,16 @@ std::string SqlLiteral(const Value& v) {
   return "NULL";
 }
 
+void AppendSqlTuple(const Row& row, std::string* out, std::string_view first) {
+  out->push_back('(');
+  out->append(first);
+  for (size_t i = 0; i < row.size(); ++i) {
+    if (i > 0 || !first.empty()) out->append(", ");
+    out->append(SqlLiteral(row[i]));
+  }
+  out->push_back(')');
+}
+
 uint64_t HashRow(const Row& row) {
   uint64_t h = 14695981039346656037ULL;
   for (const Value& v : row) h = HashCombine(h, v.Hash());

@@ -126,6 +126,12 @@ Status DeserializeRowInto(std::string_view data, Row* row);
 /// with `'` doubled.
 std::string SqlLiteral(const Value& v);
 
+/// Appends `row` to `out` as one VALUES tuple of SqlLiteral()s:
+/// `(v1, v2, ...)`. A non-empty `first` is written before them as the
+/// tuple's first literal, already rendered.
+void AppendSqlTuple(const Row& row, std::string* out,
+                    std::string_view first = {});
+
 /// Hash of all values in a row (for hash joins / aggregation keys).
 uint64_t HashRow(const Row& row);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <span>
-#include <sstream>
 #include <string_view>
 
 #include "ima/ima.h"
@@ -64,6 +63,8 @@ constexpr size_t MirrorOf(std::string_view ima_table) {
   while (kMirrors[i].ima->name != ima_table) ++i;
   return i;
 }
+
+constexpr ima::ImaColumn kCapturedAt[] = {{"captured_at", TypeId::kInt}};
 
 // Daemon resume state, not workload data: the monitor incarnation the row
 // was last flushed from and that incarnation's raw cumulative counters. A
@@ -152,16 +153,13 @@ std::vector<HistoryAlertRule> DefaultHistoryAlertRules() {
 
 Status CreateWorkloadSchema(Database* workload_db) {
   for (const Mirror& m : kMirrors) {
-    std::string ddl =
-        "CREATE TABLE IF NOT EXISTS " + WlName(m) + " (captured_at INT";
-    auto add = [&ddl](std::span<const ima::ImaColumn> columns) {
-      for (const ima::ImaColumn& c : columns) {
-        ddl += std::string(", ") + c.name + " " + TypeName(c.type);
-      }
-    };
-    add(m.ima->columns);
-    if (m.keep == Keep::kCurrent) add(kResumeColumns);
-    IMON_RETURN_IF_ERROR(workload_db->Execute(ddl + ")").status());
+    std::span<const ima::ImaColumn> resume;
+    if (m.keep == Keep::kCurrent) resume = kResumeColumns;
+    IMON_RETURN_IF_ERROR(
+        workload_db
+            ->Execute(ima::CreateTableSql(
+                WlName(m), {kCapturedAt, m.ima->columns, resume}))
+            .status());
   }
   return Status::OK();
 }
@@ -434,19 +432,16 @@ Status StorageDaemon::AppendRows(const std::string& wl_table,
   std::string stamp_serialized;
   stamp.SerializeTo(&stamp_serialized);
   int64_t bytes = 0;
-  std::ostringstream sql;
-  sql << "INSERT INTO " << wl_table << " VALUES ";
+  std::string sql = "INSERT INTO " + wl_table + " VALUES ";
   for (size_t i = 0; i < rows->size(); ++i) {
-    if (i > 0) sql << ", ";
-    sql << "(" << stamp_literal;
+    if (i > 0) sql += ", ";
     const Row& row = (*rows)[i];
-    for (const Value& v : row) sql << ", " << SqlLiteral(v);
-    sql << ")";
+    AppendSqlTuple(row, &sql, stamp_literal);
     std::string serialized;
     SerializeRow(row, &serialized);
     bytes += static_cast<int64_t>(serialized.size() + stamp_serialized.size());
   }
-  auto r = workload_db_->Execute(sql.str(), write_session_.get());
+  auto r = workload_db_->Execute(sql, write_session_.get());
   IMON_RETURN_IF_ERROR(r.status());
   if (m_rows_appended_ != nullptr) {
     m_rows_appended_->Add(static_cast<int64_t>(rows->size()));
@@ -711,42 +706,23 @@ DaemonStats StorageDaemon::stats() const {
 
 namespace {
 
-class AlertsProvider : public catalog::VirtualTableProvider {
- public:
-  explicit AlertsProvider(const StorageDaemon* daemon) : daemon_(daemon) {}
+using enum TypeId;
 
-  std::vector<catalog::ColumnInfo> Schema() const override {
-    using catalog::Column;
-    return {Column("rule", TypeId::kText),
-            Column("series", TypeId::kText),
-            Column("state", TypeId::kText),
-            Column("value", TypeId::kInt),
-            Column("threshold", TypeId::kInt),
-            Column("breach_polls", TypeId::kInt),
-            Column("fire_count", TypeId::kInt),
-            Column("first_fired_micros", TypeId::kInt),
-            Column("last_fired_micros", TypeId::kInt),
-            Column("last_eval_micros", TypeId::kInt),
-            Column("message", TypeId::kText)};
-  }
+constexpr ima::ImaColumn kAlertColumns[] = {
+    {"rule", kText}, {"series", kText}, {"state", kText}, {"value", kInt},
+    {"threshold", kInt}, {"breach_polls", kInt}, {"fire_count", kInt},
+    {"first_fired_micros", kInt}, {"last_fired_micros", kInt},
+    {"last_eval_micros", kInt}, {"message", kText}};
+constexpr ima::ImaTable kAlerts = {"imp_alerts", kAlertColumns};
 
-  std::vector<Row> Rows(int64_t) const override {
-    std::vector<Row> out;
-    for (const HistoryAlertState& s : daemon_->SnapshotAlerts()) {
-      out.push_back({Value::Text(s.rule), Value::Text(s.series),
-                     Value::Text(s.firing ? "firing" : "clear"),
-                     Value::Int(s.value), Value::Int(s.threshold),
-                     Value::Int(s.breach_polls), Value::Int(s.fire_count),
-                     Value::Int(s.first_fired_micros),
-                     Value::Int(s.last_fired_micros),
-                     Value::Int(s.last_eval_micros), Value::Text(s.message)});
-    }
-    return out;
-  }
-
- private:
-  const StorageDaemon* daemon_;
-};
+Row AlertRow(const HistoryAlertState& s) {
+  return {Value::Text(s.rule), Value::Text(s.series),
+          Value::Text(s.firing ? "firing" : "clear"), Value::Int(s.value),
+          Value::Int(s.threshold), Value::Int(s.breach_polls),
+          Value::Int(s.fire_count), Value::Int(s.first_fired_micros),
+          Value::Int(s.last_fired_micros), Value::Int(s.last_eval_micros),
+          Value::Text(s.message)};
+}
 
 }  // namespace
 
@@ -754,8 +730,9 @@ Status RegisterAlertsTable(engine::Database* db, StorageDaemon* daemon) {
   if (db == nullptr || daemon == nullptr) {
     return Status::InvalidArgument("null database or daemon");
   }
-  return db->RegisterVirtualTable("imp_alerts",
-                                  std::make_shared<AlertsProvider>(daemon));
+  return ima::RegisterTable(db, kAlerts, [daemon](int64_t) {
+    return ima::Materialize(daemon->SnapshotAlerts(), AlertRow);
+  });
 }
 
 }  // namespace imon::daemon

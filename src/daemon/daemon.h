@@ -317,10 +317,9 @@ class StorageDaemon {
   engine::AlertHandler alert_handler_;
 };
 
-/// Expose the daemon's history-alert states as the `imp_alerts` virtual
-/// table in `db` (rule, series, state, value, threshold, breach_polls,
-/// fire_count, first_fired_micros, last_fired_micros, last_eval_micros,
-/// message). The daemon must outlive `db`'s use of the table.
+/// Expose the daemon's history-alert states as the `imp_alerts` IMA table
+/// in `db`, one row per rule. The daemon must outlive `db`'s use of the
+/// table.
 Status RegisterAlertsTable(engine::Database* db, StorageDaemon* daemon);
 
 }  // namespace imon::daemon

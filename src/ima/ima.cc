@@ -1,6 +1,5 @@
 #include "ima/ima.h"
 
-#include <functional>
 #include <utility>
 
 namespace imon::ima {
@@ -25,16 +24,30 @@ Row MetricsHistoryRow(const metrics::HistorySample& s) {
           Value::Int(s.sum), Value::Int(s.count), Value::Int(s.last)};
 }
 
+std::string CreateTableSql(
+    std::string_view name,
+    std::initializer_list<std::span<const ImaColumn>> parts) {
+  std::string ddl = "CREATE TABLE IF NOT EXISTS ";
+  ddl += name;
+  const char* sep = " (";
+  for (std::span<const ImaColumn> part : parts) {
+    for (const ImaColumn& c : part) {
+      ddl += sep;
+      ddl += c.name;
+      ddl += ' ';
+      ddl += TypeName(c.type);
+      sep = ", ";
+    }
+  }
+  return ddl + ")";
+}
+
 namespace {
 
 Value IntV(int64_t v) { return Value::Int(v); }
 Value HashV(uint64_t h) { return Value::Int(static_cast<int64_t>(h)); }
 
-/// Produces an IMA table's rows with seq > min_seq (tables without a seq
-/// column ignore min_seq).
-using RowsFn = std::function<std::vector<Row>(int64_t min_seq)>;
-
-/// Every IMA table's provider: Schema() and SeqColumn() come from the
+/// Every virtual table's provider: Schema() and SeqColumn() come from the
 /// table's definition, the rows from `rows`.
 class ImaProvider final : public catalog::VirtualTableProvider {
  public:
@@ -50,15 +63,6 @@ class ImaProvider final : public catalog::VirtualTableProvider {
   const ImaTable& table_;
   RowsFn rows_;
 };
-
-/// One row per record, built by `row`.
-template <typename Record, typename RowOf>
-std::vector<Row> Materialize(const std::vector<Record>& records, RowOf row) {
-  std::vector<Row> out;
-  out.reserve(records.size());
-  for (const Record& r : records) out.push_back(row(r));
-  return out;
-}
 
 Row StatementRow(const monitor::StatementRecord& s) {
   return {HashV(s.hash), Value::Text(s.text), IntV(s.frequency),
@@ -192,6 +196,11 @@ std::vector<Row> IndexRows(const Monitor* m, const catalog::Catalog* c) {
 
 }  // namespace
 
+Status RegisterTable(Database* db, const ImaTable& table, RowsFn rows) {
+  return db->RegisterVirtualTable(
+      table.name, std::make_shared<ImaProvider>(table, std::move(rows)));
+}
+
 Status RegisterImaTables(Database* db) {
   const Monitor* m = db->monitor();
   const catalog::Catalog* c = db->catalog();
@@ -247,8 +256,7 @@ Status RegisterImaTables(Database* db) {
        }},
   };
   for (const auto& [name, rows] : providers) {
-    IMON_RETURN_IF_ERROR(db->RegisterVirtualTable(
-        name, std::make_shared<ImaProvider>(FindImaTable(name), rows)));
+    IMON_RETURN_IF_ERROR(RegisterTable(db, FindImaTable(name), rows));
   }
   return Status::OK();
 }

@@ -6,45 +6,35 @@
 //  over standard SQL ... Because IMA objects reside only in main memory,
 //  there is no disk access required to store or read the data."
 //
-// Each IMA table is defined once, below: its name, its columns and its
-// seq column. RegisterImaTables() registers a provider per definition on
-// a Database, and the storage daemon derives its workload-DB mirrors
-// (wl_* = captured_at + the IMA columns, daemon.h) from the same list.
+// Each IMA table is defined once, as an ImaTable: its name, its columns
+// and its seq column. RegisterTable() registers the one provider of a
+// definition and a row function on a Database. The monitor's tables are
+// defined below and registered by RegisterImaTables(); the storage daemon
+// derives its workload-DB mirrors (wl_* = captured_at + the IMA columns,
+// daemon.h) from the same list. The libraries whose state the remaining
+// IMA tables expose define and register those tables beside that state:
 //
-// Scans materialize a snapshot from the monitor's in-memory state; no
-// buffer-pool or disk access is involved.
+//   imp_tuning_actions, imp_tuning_provenance  (tuner.cc) — the
+//                    closed-loop tuner's live action list and the
+//                    template evidence behind each analyzer decision
+//   imp_alerts      (daemon.cc) — the daemon's history-rule alert states
+//   imp_connections (server.cc) — every live network-server connection
 //
-// Two further IMA table groups are registered by the libraries whose
-// state they expose rather than by RegisterImaTables:
+// CreateTableSql() renders a definition as workload-DB DDL, so a
+// persisted table (wl_*) is written from the same column list.
 //
-//   imp_tuning_actions   (tuner::RegisterTuningActionsTable) — the
-//                    closed-loop tuner's live action list, now carrying
-//                    decision_id + rule
-//   imp_tuning_provenance (tuner::RegisterTuningProvenanceTable) —
-//                    (decision_id, action_id, rule, fingerprint,
-//                    executions, total_actual, total_estimated,
-//                    recommended_at): the template evidence behind each
-//                    analyzer decision, joinable against
-//                    imp_tuning_actions and imp_templates to answer
-//                    "why does this index exist"
-//   imp_alerts      (daemon::RegisterAlertsTable) — (rule, series,
-//                    state, value, threshold, breach_polls, fire_count,
-//                    first_fired_micros, last_fired_micros,
-//                    last_eval_micros, message): the daemon's
-//                    history-rule alert engine, evaluated every poll
-//                    over the imp_metrics_history rollups
-//   imp_connections (server::RegisterConnectionsTable) — (conn_id,
-//                    peer, state, requests, bytes_in, bytes_out,
-//                    last_activity_micros): every live network-server
-//                    connection (DESIGN.md §14), snapshotted from the
-//                    server's stats registry at scan time
+// Scans materialize a snapshot of in-memory state; no buffer-pool or
+// disk access is involved.
 
 #ifndef IMON_IMA_IMA_H_
 #define IMON_IMA_IMA_H_
 
 #include <cstdlib>
+#include <functional>
+#include <initializer_list>
 #include <ranges>
 #include <span>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -184,11 +174,45 @@ constexpr const ImaTable& FindImaTable(std::string_view name) {
   std::abort();
 }
 
+/// Ordinal of the column named `name` in `columns`; a missing name fails
+/// to compile in a constant expression and aborts at run time.
+constexpr int ColumnOrdinal(std::span<const ImaColumn> columns,
+                            std::string_view name) {
+  for (size_t i = 0; i < columns.size(); ++i) {
+    if (name == columns[i].name) return static_cast<int>(i);
+  }
+  std::abort();
+}
+
+/// `CREATE TABLE IF NOT EXISTS <name> (...)` with the columns of `parts`,
+/// in order.
+std::string CreateTableSql(
+    std::string_view name,
+    std::initializer_list<std::span<const ImaColumn>> parts);
+
+/// Produces a table's rows with seq > min_seq (tables without a seq
+/// column ignore min_seq).
+using RowsFn = std::function<std::vector<Row>(int64_t min_seq)>;
+
+/// One row per record, built by `row`.
+template <typename Record, typename RowOf>
+std::vector<Row> Materialize(const std::vector<Record>& records, RowOf row) {
+  std::vector<Row> out;
+  out.reserve(records.size());
+  for (const Record& r : records) out.push_back(row(r));
+  return out;
+}
+
+/// Register `table` on `db` as a virtual table whose schema and seq column
+/// come from the definition and whose rows come from `rows`. `table` must
+/// outlive `db` (the definitions are constexpr statics).
+Status RegisterTable(engine::Database* db, const ImaTable& table, RowsFn rows);
+
 /// One imp_metrics_history row. The daemon builds its wl_metrics_history
 /// rows with it too.
 Row MetricsHistoryRow(const metrics::HistorySample& s);
 
-/// Register every IMA virtual table on `db`. Idempotent per database
+/// Register every table of kImaTables on `db`. Idempotent per database
 /// (second call returns AlreadyExists).
 Status RegisterImaTables(engine::Database* db);
 

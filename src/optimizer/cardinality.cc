@@ -11,14 +11,6 @@ using sql::ExprKind;
 
 namespace {
 
-/// conjunct shaped like <col> <op> <literal> (either side); returns the
-/// column expr, op oriented as "col op literal", and the literal.
-struct ColOpLit {
-  const Expr* col = nullptr;
-  BinaryOp op = BinaryOp::kEq;
-  Value literal;
-};
-
 BinaryOp FlipOp(BinaryOp op) {
   switch (op) {
     case BinaryOp::kLt:
@@ -34,7 +26,9 @@ BinaryOp FlipOp(BinaryOp op) {
   }
 }
 
-bool MatchColOpLit(const Expr& e, ColOpLit* out) {
+}  // namespace
+
+bool MatchColOpLiteral(const Expr& e, ColOpLiteral* out) {
   if (e.kind != ExprKind::kBinary) return false;
   switch (e.binary_op) {
     case BinaryOp::kEq:
@@ -50,21 +44,15 @@ bool MatchColOpLit(const Expr& e, ColOpLit* out) {
   const Expr* l = e.lhs.get();
   const Expr* r = e.rhs.get();
   if (l->kind == ExprKind::kColumnRef && r->kind == ExprKind::kLiteral) {
-    out->col = l;
-    out->op = e.binary_op;
-    out->literal = r->literal;
+    *out = {l, e.binary_op, &r->literal};
     return true;
   }
   if (r->kind == ExprKind::kColumnRef && l->kind == ExprKind::kLiteral) {
-    out->col = r;
-    out->op = FlipOp(e.binary_op);
-    out->literal = l->literal;
+    *out = {r, FlipOp(e.binary_op), &l->literal};
     return true;
   }
   return false;
 }
-
-}  // namespace
 
 const catalog::Histogram* CardinalityEstimator::HistogramFor(
     int table_idx, int ordinal) const {
@@ -149,46 +137,46 @@ double CardinalityEstimator::ConjunctSelectivity(const Expr& conjunct) const {
     return conjunct.negated ? std::clamp(1.0 - total, 0.001, 1.0) : total;
   }
 
-  ColOpLit col_op_lit;
-  if (MatchColOpLit(conjunct, &col_op_lit)) {
+  ColOpLiteral col_op_lit;
+  if (MatchColOpLiteral(conjunct, &col_op_lit)) {
     const catalog::Histogram* h =
         HistogramFor(col_op_lit.col->bound_table,
                      col_op_lit.col->bound_column);
     switch (col_op_lit.op) {
       case BinaryOp::kEq:
         return std::max(
-            h != nullptr ? h->EqualitySelectivity(col_op_lit.literal)
+            h != nullptr ? h->EqualitySelectivity(*col_op_lit.literal)
                          : kDefaultEqSelectivity,
             1e-9);
       case BinaryOp::kNe:
         return std::clamp(
-            1.0 - (h != nullptr ? h->EqualitySelectivity(col_op_lit.literal)
+            1.0 - (h != nullptr ? h->EqualitySelectivity(*col_op_lit.literal)
                                 : kDefaultEqSelectivity),
             0.001, 1.0);
       case BinaryOp::kLt:
         return h != nullptr
                    ? std::max(h->RangeSelectivity(Value(), false, false,
-                                                  col_op_lit.literal, true,
+                                                  *col_op_lit.literal, true,
                                                   false),
                               1e-6)
                    : kDefaultRangeSelectivity;
       case BinaryOp::kLe:
         return h != nullptr
                    ? std::max(h->RangeSelectivity(Value(), false, false,
-                                                  col_op_lit.literal, true,
+                                                  *col_op_lit.literal, true,
                                                   true),
                               1e-6)
                    : kDefaultRangeSelectivity;
       case BinaryOp::kGt:
         return h != nullptr
-                   ? std::max(h->RangeSelectivity(col_op_lit.literal, true,
+                   ? std::max(h->RangeSelectivity(*col_op_lit.literal, true,
                                                   false, Value(), false,
                                                   false),
                               1e-6)
                    : kDefaultRangeSelectivity;
       case BinaryOp::kGe:
         return h != nullptr
-                   ? std::max(h->RangeSelectivity(col_op_lit.literal, true,
+                   ? std::max(h->RangeSelectivity(*col_op_lit.literal, true,
                                                   true, Value(), false,
                                                   false),
                               1e-6)

@@ -25,6 +25,18 @@ inline constexpr double kDefaultOtherSelectivity = 0.5;
 /// Assumed row count for virtual tables (no statistics collected).
 inline constexpr double kVirtualTableRows = 1000.0;
 
+/// A conjunct shaped `col op literal`, oriented so that the column is on
+/// the left: `5 > a` matches as `a < 5`.
+struct ColOpLiteral {
+  const sql::Expr* col = nullptr;
+  sql::BinaryOp op = sql::BinaryOp::kEq;
+  const Value* literal = nullptr;
+};
+
+/// Matches a comparison (=, <>, <, <=, >, >=) between a column and a
+/// literal, in either orientation.
+bool MatchColOpLiteral(const sql::Expr& e, ColOpLiteral* out);
+
 class CardinalityEstimator {
  public:
   CardinalityEstimator(const catalog::Catalog* cat,

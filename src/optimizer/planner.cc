@@ -21,54 +21,6 @@ bool IsColumnOf(const Expr& e, int table_idx) {
   return e.kind == ExprKind::kColumnRef && e.bound_table == table_idx;
 }
 
-/// col <op> literal on `table_idx` (either orientation). Returns the
-/// oriented op and pieces.
-bool MatchColOpLiteral(const Expr& e, int table_idx, const Expr** col,
-                       BinaryOp* op, const Value** lit) {
-  if (e.kind != ExprKind::kBinary) return false;
-  switch (e.binary_op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      break;
-    default:
-      return false;
-  }
-  const Expr* l = e.lhs.get();
-  const Expr* r = e.rhs.get();
-  if (IsColumnOf(*l, table_idx) && r->kind == ExprKind::kLiteral) {
-    *col = l;
-    *op = e.binary_op;
-    *lit = &r->literal;
-    return true;
-  }
-  if (IsColumnOf(*r, table_idx) && l->kind == ExprKind::kLiteral) {
-    *col = r;
-    *lit = &l->literal;
-    switch (e.binary_op) {
-      case BinaryOp::kLt:
-        *op = BinaryOp::kGt;
-        break;
-      case BinaryOp::kLe:
-        *op = BinaryOp::kGe;
-        break;
-      case BinaryOp::kGt:
-        *op = BinaryOp::kLt;
-        break;
-      case BinaryOp::kGe:
-        *op = BinaryOp::kLe;
-        break;
-      default:
-        *op = e.binary_op;
-        break;
-    }
-    return true;
-  }
-  return false;
-}
-
 int Popcount(uint64_t v) { return __builtin_popcountll(v); }
 
 /// Parallel lanes a scan over `est_units` morsel units can keep busy:
@@ -101,17 +53,17 @@ std::map<int, Planner::ColumnConstraint> Planner::ExtractConstraints(
   uint64_t table_mask = 1ULL << table_idx;
   for (const Expr* c : conjuncts) {
     if (Binder::TablesUsed(*c) != table_mask) continue;
-    const Expr* col = nullptr;
-    BinaryOp op;
-    const Value* lit = nullptr;
-    if (MatchColOpLiteral(*c, table_idx, &col, &op, &lit)) {
+    ColOpLiteral m;
+    if (MatchColOpLiteral(*c, &m) && IsColumnOf(*m.col, table_idx)) {
+      // <> bounds no access path; reject it before out[] adds an entry.
+      if (m.op == BinaryOp::kNe) continue;
       TypeId col_type =
-          tables[table_idx].info.columns[col->bound_column].type;
-      auto cast = lit->CastTo(col_type);
+          tables[table_idx].info.columns[m.col->bound_column].type;
+      auto cast = m.literal->CastTo(col_type);
       if (!cast.ok()) continue;
-      ColumnConstraint& cc = out[col->bound_column];
+      ColumnConstraint& cc = out[m.col->bound_column];
       double sel = est.ConjunctSelectivity(*c);
-      switch (op) {
+      switch (m.op) {
         case BinaryOp::kEq:
           cc.eq = cast.value();
           break;

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "ima/ima.h"
 
 namespace imon::server {
 
@@ -860,36 +861,19 @@ std::vector<Server::ConnectionRow> Server::SnapshotConnections() const {
 
 namespace {
 
-class ConnectionsProvider : public catalog::VirtualTableProvider {
- public:
-  explicit ConnectionsProvider(const Server* server) : server_(server) {}
+using enum TypeId;
 
-  std::vector<catalog::ColumnInfo> Schema() const override {
-    using catalog::Column;
-    return {Column("conn_id", TypeId::kInt),
-            Column("peer", TypeId::kText),
-            Column("state", TypeId::kText),
-            Column("requests", TypeId::kInt),
-            Column("bytes_in", TypeId::kInt),
-            Column("bytes_out", TypeId::kInt),
-            Column("last_activity_micros", TypeId::kInt)};
-  }
+constexpr ima::ImaColumn kConnectionColumns[] = {
+    {"conn_id", kInt}, {"peer", kText}, {"state", kText}, {"requests", kInt},
+    {"bytes_in", kInt}, {"bytes_out", kInt}, {"last_activity_micros", kInt}};
+constexpr ima::ImaTable kConnections = {"imp_connections", kConnectionColumns};
 
-  std::vector<Row> Rows(int64_t) const override {
-    std::vector<Row> rows;
-    for (const auto& c : server_->SnapshotConnections()) {
-      rows.push_back({Value::Int(c.conn_id), Value::Text(c.peer),
-                      Value::Text(ConnStateName(c.state)),
-                      Value::Int(c.requests), Value::Int(c.bytes_in),
-                      Value::Int(c.bytes_out),
-                      Value::Int(c.last_activity_micros)});
-    }
-    return rows;
-  }
-
- private:
-  const Server* server_;
-};
+Row ConnectionsRow(const Server::ConnectionRow& c) {
+  return {Value::Int(c.conn_id), Value::Text(c.peer),
+          Value::Text(ConnStateName(c.state)), Value::Int(c.requests),
+          Value::Int(c.bytes_in), Value::Int(c.bytes_out),
+          Value::Int(c.last_activity_micros)};
+}
 
 }  // namespace
 
@@ -897,8 +881,9 @@ Status RegisterConnectionsTable(engine::Database* db, Server* server) {
   if (db == nullptr || server == nullptr) {
     return Status::InvalidArgument("null database or server");
   }
-  return db->RegisterVirtualTable(
-      "imp_connections", std::make_shared<ConnectionsProvider>(server));
+  return ima::RegisterTable(db, kConnections, [server](int64_t) {
+    return ima::Materialize(server->SnapshotConnections(), ConnectionsRow);
+  });
 }
 
 }  // namespace imon::server

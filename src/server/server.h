@@ -222,9 +222,9 @@ class Server {
   metrics::Histogram* m_request_micros_ = nullptr;
 };
 
-/// Expose the server's live connections as the `imp_connections` virtual
-/// table in `db` (conn_id, peer, state, requests, bytes_in, bytes_out,
-/// last_activity_micros). The server must outlive `db`'s use of it.
+/// Expose the server's live connections as the `imp_connections` IMA
+/// table in `db`, one row per connection. The server must outlive `db`'s
+/// use of it.
 Status RegisterConnectionsTable(engine::Database* db, Server* server);
 
 }  // namespace imon::server

@@ -29,32 +29,40 @@ std::string ToLower(std::string s) {
   return s;
 }
 
+bool IsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+/// Advances *i past whitespace and `--` comments (to end of line).
+void SkipTrivia(std::string_view input, size_t* i) {
+  const size_t n = input.size();
+  while (*i < n) {
+    if (std::isspace(static_cast<unsigned char>(input[*i]))) {
+      ++*i;
+    } else if (input[*i] == '-' && *i + 1 < n && input[*i + 1] == '-') {
+      while (*i < n && input[*i] != '\n') ++*i;
+    } else {
+      return;
+    }
+  }
+}
+
 }  // namespace
 
 Result<std::vector<Token>> Tokenize(const std::string& input) {
   std::vector<Token> tokens;
   size_t i = 0;
   const size_t n = input.size();
-  while (i < n) {
+  while (true) {
+    SkipTrivia(input, &i);
+    if (i >= n) break;
     char c = input[i];
-    if (std::isspace(static_cast<unsigned char>(c))) {
-      ++i;
-      continue;
-    }
-    // -- comments: -- to end of line
-    if (c == '-' && i + 1 < n && input[i + 1] == '-') {
-      while (i < n && input[i] != '\n') ++i;
-      continue;
-    }
     Token tok;
     tok.position = i;
     // -- identifiers / keywords
     if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
       size_t start = i;
-      while (i < n && (std::isalnum(static_cast<unsigned char>(input[i])) ||
-                       input[i] == '_')) {
-        ++i;
-      }
+      while (i < n && IsWordChar(input[i])) ++i;
       std::string word = ToLower(input.substr(start, i - start));
       tok.type = Keywords().count(word) ? TokenType::kKeyword
                                         : TokenType::kIdentifier;
@@ -172,6 +180,17 @@ Result<std::vector<Token>> Tokenize(const std::string& input) {
   end.position = n;
   tokens.push_back(std::move(end));
   return tokens;
+}
+
+bool IsSelectStatement(std::string_view text) {
+  constexpr std::string_view kSelect = "select";
+  size_t i = 0;
+  SkipTrivia(text, &i);
+  if (text.size() - i < kSelect.size()) return false;
+  for (char k : kSelect) {
+    if (std::tolower(static_cast<unsigned char>(text[i++])) != k) return false;
+  }
+  return i == text.size() || !IsWordChar(text[i]);
 }
 
 }  // namespace imon::sql

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -40,6 +41,10 @@ struct Token {
 
 /// Tokenize `input`; the final token is always kEnd.
 Result<std::vector<Token>> Tokenize(const std::string& input);
+
+/// True when the first token of `text` is the keyword SELECT (leading
+/// whitespace and `--` comments skipped, as Tokenize skips them).
+bool IsSelectStatement(std::string_view text);
 
 }  // namespace imon::sql
 

@@ -4,56 +4,130 @@
 #include <cctype>
 #include <cmath>
 #include <map>
-#include <set>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "catalog/catalog.h"
+#include "ima/ima.h"
 #include "monitor/monitor.h"
 #include "monitor/trace_export.h"
+#include "sql/lexer.h"
 
 namespace imon::tuner {
 
 using analyzer::Recommendation;
 using analyzer::RecommendationKind;
 using analyzer::RecommendationKindName;
-using catalog::ColumnInfo;
 using engine::Database;
 
 namespace {
 
-constexpr char kAuditTable[] = "wl_tuning_actions";
+using enum TypeId;
 
-const char* kAuditDdl =
-    "CREATE TABLE IF NOT EXISTS wl_tuning_actions (action_id INT, "
-    "event_seq INT, event_at INT, state TEXT, kind TEXT, table_name TEXT, "
-    "index_name TEXT, action_sql TEXT, inverse_sql TEXT, benefit DOUBLE, "
-    "baseline_cost DOUBLE, baseline_execs INT, applied_seq INT, "
-    "observed_cost DOUBLE, observed_execs INT, detail TEXT, "
-    "decision_id INT, rule TEXT)";
+/// The live action list (imp_tuning_actions).
+constexpr ima::ImaColumn kActionColumns[] = {
+    {"action_id", kInt}, {"state", kText}, {"kind", kText},
+    {"table_name", kText}, {"index_name", kText}, {"action_sql", kText},
+    {"inverse_sql", kText}, {"benefit", kDouble}, {"baseline_cost", kDouble},
+    {"observed_cost", kDouble}, {"observed_execs", kInt},
+    {"proposed_at", kInt}, {"applied_at", kInt}, {"decided_at", kInt},
+    {"detail", kText}, {"decision_id", kInt}, {"rule", kText}};
+constexpr ima::ImaTable kActions = {"imp_tuning_actions", kActionColumns};
 
-constexpr char kProvenanceTable[] = "wl_tuning_provenance";
+/// The audit trail (wl_tuning_actions): one row per transition, in
+/// event_seq order; recovery replays it.
+constexpr ima::ImaColumn kAuditColumns[] = {
+    {"action_id", kInt}, {"event_seq", kInt}, {"event_at", kInt},
+    {"state", kText}, {"kind", kText}, {"table_name", kText},
+    {"index_name", kText}, {"action_sql", kText}, {"inverse_sql", kText},
+    {"benefit", kDouble}, {"baseline_cost", kDouble},
+    {"baseline_execs", kInt}, {"applied_seq", kInt},
+    {"observed_cost", kDouble}, {"observed_execs", kInt}, {"detail", kText},
+    {"decision_id", kInt}, {"rule", kText}};
+constexpr ima::ImaTable kAuditLog = {"wl_tuning_actions", kAuditColumns};
 
-const char* kProvenanceDdl =
-    "CREATE TABLE IF NOT EXISTS wl_tuning_provenance (decision_id INT, "
-    "action_id INT, rule TEXT, fingerprint INT, executions INT, "
-    "total_actual DOUBLE, total_estimated DOUBLE, recommended_at INT)";
+/// The evidence rows, live (imp_tuning_provenance) and persisted
+/// (wl_tuning_provenance) alike.
+constexpr ima::ImaColumn kProvenanceColumns[] = {
+    {"decision_id", kInt}, {"action_id", kInt}, {"rule", kText},
+    {"fingerprint", kInt}, {"executions", kInt}, {"total_actual", kDouble},
+    {"total_estimated", kDouble}, {"recommended_at", kInt}};
+constexpr ima::ImaTable kProvenance = {"imp_tuning_provenance",
+                                       kProvenanceColumns};
+constexpr ima::ImaTable kProvenanceLog = {"wl_tuning_provenance",
+                                          kProvenanceColumns};
 
-bool IsSelect(const std::string& text) {
-  size_t i = 0;
-  while (i < text.size() && std::isspace(static_cast<unsigned char>(text[i]))) {
-    ++i;
+consteval int AuditOrdinal(std::string_view name) {
+  return ima::ColumnOrdinal(kAuditColumns, name);
+}
+consteval int ProvenanceOrdinal(std::string_view name) {
+  return ima::ColumnOrdinal(kProvenanceColumns, name);
+}
+
+/// Creates wl_tuning_actions and wl_tuning_provenance, on `session` if
+/// there is one.
+Status CreateTables(Database* db, engine::Session* session) {
+  for (const ima::ImaTable* t : {&kAuditLog, &kProvenanceLog}) {
+    std::string ddl = ima::CreateTableSql(t->name, {t->columns});
+    IMON_RETURN_IF_ERROR(
+        (session != nullptr ? db->Execute(ddl, session) : db->Execute(ddl))
+            .status());
   }
-  const char kSelect[] = "SELECT";
-  for (size_t k = 0; kSelect[k] != '\0'; ++k, ++i) {
-    if (i >= text.size() ||
-        std::toupper(static_cast<unsigned char>(text[i])) != kSelect[k]) {
-      return false;
-    }
+  return Status::OK();
+}
+
+/// Every row of the workload-DB table `log`; Corruption unless its
+/// columns are the definition's.
+Result<std::vector<Row>> ReadLog(Database* db, engine::Session* session,
+                                 const ima::ImaTable& log) {
+  IMON_ASSIGN_OR_RETURN(
+      engine::QueryResult r,
+      db->Execute(std::string("SELECT * FROM ") + log.name, session));
+  bool same = r.columns.size() == log.columns.size();
+  for (size_t i = 0; same && i < r.columns.size(); ++i) {
+    same = r.columns[i] == log.columns[i].name;
   }
-  return true;
+  if (!same) {
+    return Status::Corruption(std::string(log.name) +
+                              " columns differ from its definition");
+  }
+  return std::move(r.rows);
+}
+
+/// Appends `row` to the workload-DB table `log`. Best effort: a lost
+/// audit or evidence row must not wedge the tuning loop, and the live
+/// IMA tables stay correct regardless.
+void AppendLog(Database* db, engine::Session* session,
+               const ima::ImaTable& log, const Row& row) {
+  std::string sql = std::string("INSERT INTO ") + log.name + " VALUES ";
+  AppendSqlTuple(row, &sql);
+  (void)db->Execute(sql, session);
+}
+
+double Benefit(const TuningAction& a) {
+  return a.revalidated_benefit != 0 ? a.revalidated_benefit
+                                    : a.proposed_benefit;
+}
+
+Row ActionRow(const TuningAction& a) {
+  return {Value::Int(a.id), Value::Text(ActionStateName(a.state)),
+          Value::Text(RecommendationKindName(a.kind)), Value::Text(a.table),
+          Value::Text(a.index_name), Value::Text(a.sql),
+          Value::Text(a.inverse_sql), Value::Double(Benefit(a)),
+          Value::Double(a.baseline_cost), Value::Double(a.observed_cost),
+          Value::Int(a.observed_execs), Value::Int(a.proposed_at),
+          Value::Int(a.applied_at), Value::Int(a.decided_at),
+          Value::Text(a.detail), Value::Int(a.decision_id),
+          Value::Text(a.rule)};
+}
+
+Row ProvenanceRow(const ProvenanceRecord& p) {
+  return {Value::Int(p.decision_id), Value::Int(p.action_id),
+          Value::Text(p.rule),
+          Value::Int(static_cast<int64_t>(p.fingerprint)),
+          Value::Int(p.executions), Value::Double(p.total_actual),
+          Value::Double(p.total_estimated), Value::Int(p.recommended_at)};
 }
 
 /// Key-column names of a generated "CREATE [UNIQUE] INDEX n ON t (a, b)"
@@ -148,10 +222,7 @@ Status CreateTuningSchema(Database* workload_db) {
   if (workload_db == nullptr) {
     return Status::InvalidArgument("null workload_db");
   }
-  auto r = workload_db->Execute(kAuditDdl);
-  IMON_RETURN_IF_ERROR(r.status());
-  auto p = workload_db->Execute(kProvenanceDdl);
-  return p.status();
+  return CreateTables(workload_db, nullptr);
 }
 
 TuningOrchestrator::TuningOrchestrator(Database* monitored,
@@ -170,10 +241,7 @@ Status TuningOrchestrator::Initialize() {
   ddl_session_ = monitored_->CreateInternalSession();
   if (workload_db_ != nullptr) {
     audit_session_ = workload_db_->CreateInternalSession();
-    auto r = workload_db_->Execute(kAuditDdl, audit_session_.get());
-    IMON_RETURN_IF_ERROR(r.status());
-    auto p = workload_db_->Execute(kProvenanceDdl, audit_session_.get());
-    IMON_RETURN_IF_ERROR(p.status());
+    IMON_RETURN_IF_ERROR(CreateTables(workload_db_, audit_session_.get()));
   }
   metrics::MetricsRegistry* registry = monitored_->metrics();
   m_ticks_ = registry->GetCounter("tuner.ticks");
@@ -449,7 +517,7 @@ double TuningOrchestrator::RevalidateIndexBenefit(const TuningAction& action) {
                   table->id) == tmpl.ref_tables.end()) {
       continue;
     }
-    if (!IsSelect(tmpl.sample_text)) continue;
+    if (!sql::IsSelectStatement(tmpl.sample_text)) continue;
     auto base = monitored_->WhatIfPlan(tmpl.sample_text, {});
     if (!base.ok()) continue;
     auto with = monitored_->WhatIfPlan(tmpl.sample_text, {virtual_index});
@@ -608,7 +676,7 @@ TuningOrchestrator::StatementCosts TuningOrchestrator::MeasureStatementCosts(
     }
     for (const auto& statement : monitor->SnapshotStatements()) {
       if (table_hashes.count(statement.hash) != 0 &&
-          IsSelect(statement.text)) {
+          sql::IsSelectStatement(statement.text)) {
         select_hashes.insert(statement.hash);
       }
     }
@@ -685,56 +753,28 @@ void TuningOrchestrator::Transition(TuningAction* action, ActionState state,
 
 void TuningOrchestrator::Audit(const TuningAction& action) {
   if (workload_db_ == nullptr || audit_session_ == nullptr) return;
-  double benefit = action.revalidated_benefit != 0
-                       ? action.revalidated_benefit
-                       : action.proposed_benefit;
-  std::string sql =
-      std::string("INSERT INTO ") + kAuditTable + " VALUES (" +
-      std::to_string(action.id) + ", " + std::to_string(next_event_seq_++) +
-      ", " + std::to_string(NowMicros()) + ", " +
-      SqlLiteral(Value::Text(ActionStateName(action.state))) + ", " +
-      SqlLiteral(Value::Text(RecommendationKindName(action.kind))) + ", " +
-      SqlLiteral(Value::Text(action.table)) + ", " +
-      SqlLiteral(Value::Text(action.index_name)) + ", " +
-      SqlLiteral(Value::Text(action.sql)) + ", " +
-      SqlLiteral(Value::Text(action.inverse_sql)) + ", " +
-      SqlLiteral(Value::Double(benefit)) + ", " +
-      SqlLiteral(Value::Double(action.baseline_cost)) + ", " +
-      std::to_string(action.baseline_execs) + ", " +
-      std::to_string(action.applied_seq) + ", " +
-      SqlLiteral(Value::Double(action.observed_cost)) + ", " +
-      std::to_string(action.observed_execs) + ", " +
-      SqlLiteral(Value::Text(action.detail)) + ", " +
-      std::to_string(action.decision_id) + ", " +
-      SqlLiteral(Value::Text(action.rule)) + ")";
-  // Audit failures must not wedge the loop; the live imp_tuning_actions
-  // view stays correct regardless.
-  (void)workload_db_->Execute(sql, audit_session_.get());
+  AppendLog(workload_db_, audit_session_.get(), kAuditLog,
+            {Value::Int(action.id), Value::Int(next_event_seq_++),
+             Value::Int(NowMicros()),
+             Value::Text(ActionStateName(action.state)),
+             Value::Text(RecommendationKindName(action.kind)),
+             Value::Text(action.table), Value::Text(action.index_name),
+             Value::Text(action.sql), Value::Text(action.inverse_sql),
+             Value::Double(Benefit(action)),
+             Value::Double(action.baseline_cost),
+             Value::Int(action.baseline_execs), Value::Int(action.applied_seq),
+             Value::Double(action.observed_cost),
+             Value::Int(action.observed_execs), Value::Text(action.detail),
+             Value::Int(action.decision_id), Value::Text(action.rule)});
 }
 
 Status TuningOrchestrator::Recover() {
   if (workload_db_ == nullptr || audit_session_ == nullptr) {
     return Status::OK();
   }
-  auto r = workload_db_->Execute(
-      std::string("SELECT * FROM ") + kAuditTable, audit_session_.get());
-  IMON_RETURN_IF_ERROR(r.status());
-  if (r->rows.empty()) return Status::OK();
-
-  std::map<std::string, int> col;
-  for (size_t i = 0; i < r->columns.size(); ++i) {
-    col[r->columns[i]] = static_cast<int>(i);
-  }
-  for (const char* required :
-       {"action_id", "event_seq", "event_at", "state", "kind", "table_name",
-        "index_name", "action_sql", "inverse_sql", "benefit", "baseline_cost",
-        "baseline_execs", "applied_seq", "observed_cost", "observed_execs",
-        "detail"}) {
-    if (col.find(required) == col.end()) {
-      return Status::Corruption(std::string("wl_tuning_actions misses ") +
-                                required);
-    }
-  }
+  IMON_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      ReadLog(workload_db_, audit_session_.get(), kAuditLog));
 
   struct Latest {
     int64_t event_seq = -1;
@@ -742,10 +782,10 @@ Status TuningOrchestrator::Recover() {
     int64_t first_event_at = 0;
   };
   std::map<int64_t, Latest> latest;  // ordered by action_id
-  for (const Row& row : r->rows) {
-    int64_t action_id = row[col["action_id"]].AsInt();
-    int64_t event_seq = row[col["event_seq"]].AsInt();
-    int64_t event_at = row[col["event_at"]].AsInt();
+  for (const Row& row : rows) {
+    int64_t action_id = row[AuditOrdinal("action_id")].AsInt();
+    int64_t event_seq = row[AuditOrdinal("event_seq")].AsInt();
+    int64_t event_at = row[AuditOrdinal("event_at")].AsInt();
     next_event_seq_ = std::max(next_event_seq_, event_seq + 1);
     next_action_id_ = std::max(next_action_id_, action_id + 1);
     Latest& entry = latest[action_id];
@@ -757,10 +797,10 @@ Status TuningOrchestrator::Recover() {
       entry.row = &row;
     }
     // Cooldowns survive restarts: every recorded apply start counts.
-    const std::string& state = row[col["state"]].AsText();
+    const std::string& state = row[AuditOrdinal("state")].AsText();
     if (state == ActionStateName(ActionState::kApplying)) {
-      const std::string& table = row[col["table_name"]].AsText();
-      std::string kind = row[col["kind"]].AsText();
+      const std::string& table = row[AuditOrdinal("table_name")].AsText();
+      const std::string& kind = row[AuditOrdinal("kind")].AsText();
       if (IsStructural(KindFromName(kind)) && !table.empty()) {
         int64_t& last = last_apply_micros_[table];
         last = std::max(last, event_at);
@@ -772,30 +812,21 @@ Status TuningOrchestrator::Recover() {
     const Row& row = *entry.row;
     TuningAction action;
     action.id = action_id;
-    action.state = StateFromName(row[col["state"]].AsText());
-    action.kind = KindFromName(row[col["kind"]].AsText());
-    action.table = row[col["table_name"]].AsText();
-    action.index_name = row[col["index_name"]].AsText();
-    action.sql = row[col["action_sql"]].AsText();
-    action.inverse_sql = row[col["inverse_sql"]].AsText();
-    action.proposed_benefit = row[col["benefit"]].AsDouble();
-    action.baseline_cost = row[col["baseline_cost"]].AsDouble();
-    action.baseline_execs = row[col["baseline_execs"]].AsInt();
-    action.applied_seq = row[col["applied_seq"]].AsInt();
-    action.observed_cost = row[col["observed_cost"]].AsDouble();
-    action.observed_execs = row[col["observed_execs"]].AsInt();
-    action.detail = row[col["detail"]].AsText();
-    // Provenance columns are optional: an audit trail written before
-    // they existed recovers with decision_id 0 / empty rule instead of
-    // failing Corruption.
-    auto decision_it = col.find("decision_id");
-    if (decision_it != col.end()) {
-      action.decision_id = row[decision_it->second].AsInt();
-    }
-    auto rule_it = col.find("rule");
-    if (rule_it != col.end()) {
-      action.rule = row[rule_it->second].AsText();
-    }
+    action.state = StateFromName(row[AuditOrdinal("state")].AsText());
+    action.kind = KindFromName(row[AuditOrdinal("kind")].AsText());
+    action.table = row[AuditOrdinal("table_name")].AsText();
+    action.index_name = row[AuditOrdinal("index_name")].AsText();
+    action.sql = row[AuditOrdinal("action_sql")].AsText();
+    action.inverse_sql = row[AuditOrdinal("inverse_sql")].AsText();
+    action.proposed_benefit = row[AuditOrdinal("benefit")].AsDouble();
+    action.baseline_cost = row[AuditOrdinal("baseline_cost")].AsDouble();
+    action.baseline_execs = row[AuditOrdinal("baseline_execs")].AsInt();
+    action.applied_seq = row[AuditOrdinal("applied_seq")].AsInt();
+    action.observed_cost = row[AuditOrdinal("observed_cost")].AsDouble();
+    action.observed_execs = row[AuditOrdinal("observed_execs")].AsInt();
+    action.detail = row[AuditOrdinal("detail")].AsText();
+    action.decision_id = row[AuditOrdinal("decision_id")].AsInt();
+    action.rule = row[AuditOrdinal("rule")].AsText();
     action.proposed_at = entry.first_event_at;
     if (action.kind == RecommendationKind::kCreateIndex) {
       action.columns = ParseIndexColumns(action.sql);
@@ -805,7 +836,7 @@ Status TuningOrchestrator::Recover() {
       case ActionState::kVerifying:
         // Resume the observation window where the crash left it.
         action.state = ActionState::kVerifying;
-        action.applied_at = row[col["event_at"]].AsInt();
+        action.applied_at = row[AuditOrdinal("event_at")].AsInt();
         break;
       case ActionState::kRevalidated:
         // Revalidate again: the world may have moved since.
@@ -825,20 +856,8 @@ Status TuningOrchestrator::Recover() {
 
 void TuningOrchestrator::RecordProvenance(ProvenanceRecord record) {
   if (workload_db_ != nullptr && audit_session_ != nullptr) {
-    std::string sql =
-        std::string("INSERT INTO ") + kProvenanceTable + " VALUES (" +
-        std::to_string(record.decision_id) + ", " +
-        std::to_string(record.action_id) + ", " +
-        SqlLiteral(Value::Text(record.rule)) + ", " +
-        std::to_string(static_cast<int64_t>(record.fingerprint)) + ", " +
-        std::to_string(record.executions) + ", " +
-        SqlLiteral(Value::Double(record.total_actual)) + ", " +
-        SqlLiteral(Value::Double(record.total_estimated)) + ", " +
-        std::to_string(record.recommended_at) + ")";
-    // Best effort, like Audit: losing an evidence row must not block
-    // the tuning loop; the in-memory copy keeps imp_tuning_provenance
-    // correct for this instance regardless.
-    (void)workload_db_->Execute(sql, audit_session_.get());
+    AppendLog(workload_db_, audit_session_.get(), kProvenanceLog,
+              ProvenanceRow(record));
   }
   provenance_.push_back(std::move(record));
 }
@@ -847,34 +866,21 @@ Status TuningOrchestrator::RecoverProvenance() {
   if (workload_db_ == nullptr || audit_session_ == nullptr) {
     return Status::OK();
   }
-  auto r = workload_db_->Execute(
-      std::string("SELECT * FROM ") + kProvenanceTable, audit_session_.get());
-  IMON_RETURN_IF_ERROR(r.status());
-  if (r->rows.empty()) return Status::OK();
-
-  std::map<std::string, int> col;
-  for (size_t i = 0; i < r->columns.size(); ++i) {
-    col[r->columns[i]] = static_cast<int>(i);
-  }
-  for (const char* required :
-       {"decision_id", "action_id", "rule", "fingerprint", "executions",
-        "total_actual", "total_estimated", "recommended_at"}) {
-    if (col.find(required) == col.end()) {
-      return Status::Corruption(std::string("wl_tuning_provenance misses ") +
-                                required);
-    }
-  }
-  for (const Row& row : r->rows) {
+  IMON_ASSIGN_OR_RETURN(
+      std::vector<Row> rows,
+      ReadLog(workload_db_, audit_session_.get(), kProvenanceLog));
+  for (const Row& row : rows) {
     ProvenanceRecord record;
-    record.decision_id = row[col["decision_id"]].AsInt();
-    record.action_id = row[col["action_id"]].AsInt();
-    record.rule = row[col["rule"]].AsText();
-    record.fingerprint =
-        static_cast<uint64_t>(row[col["fingerprint"]].AsInt());
-    record.executions = row[col["executions"]].AsInt();
-    record.total_actual = row[col["total_actual"]].AsDouble();
-    record.total_estimated = row[col["total_estimated"]].AsDouble();
-    record.recommended_at = row[col["recommended_at"]].AsInt();
+    record.decision_id = row[ProvenanceOrdinal("decision_id")].AsInt();
+    record.action_id = row[ProvenanceOrdinal("action_id")].AsInt();
+    record.rule = row[ProvenanceOrdinal("rule")].AsText();
+    record.fingerprint = static_cast<uint64_t>(
+        row[ProvenanceOrdinal("fingerprint")].AsInt());
+    record.executions = row[ProvenanceOrdinal("executions")].AsInt();
+    record.total_actual = row[ProvenanceOrdinal("total_actual")].AsDouble();
+    record.total_estimated =
+        row[ProvenanceOrdinal("total_estimated")].AsDouble();
+    record.recommended_at = row[ProvenanceOrdinal("recommended_at")].AsInt();
     provenance_.push_back(std::move(record));
   }
   return Status::OK();
@@ -899,110 +905,14 @@ TunerStats TuningOrchestrator::stats() const {
   return stats_;
 }
 
-namespace {
-
-using catalog::Column;
-
-class TuningActionsProvider : public catalog::VirtualTableProvider {
- public:
-  explicit TuningActionsProvider(const TuningOrchestrator* orchestrator)
-      : orchestrator_(orchestrator) {}
-
-  std::vector<ColumnInfo> Schema() const override {
-    return {Column("action_id", TypeId::kInt),
-            Column("state", TypeId::kText),
-            Column("kind", TypeId::kText),
-            Column("table_name", TypeId::kText),
-            Column("index_name", TypeId::kText),
-            Column("action_sql", TypeId::kText),
-            Column("inverse_sql", TypeId::kText),
-            Column("benefit", TypeId::kDouble),
-            Column("baseline_cost", TypeId::kDouble),
-            Column("observed_cost", TypeId::kDouble),
-            Column("observed_execs", TypeId::kInt),
-            Column("proposed_at", TypeId::kInt),
-            Column("applied_at", TypeId::kInt),
-            Column("decided_at", TypeId::kInt),
-            Column("detail", TypeId::kText),
-            Column("decision_id", TypeId::kInt),
-            Column("rule", TypeId::kText)};
-  }
-
-  std::vector<Row> Rows(int64_t) const override {
-    std::vector<Row> out;
-    for (const TuningAction& a : orchestrator_->SnapshotActions()) {
-      double benefit = a.revalidated_benefit != 0 ? a.revalidated_benefit
-                                                  : a.proposed_benefit;
-      out.push_back({Value::Int(a.id),
-                     Value::Text(ActionStateName(a.state)),
-                     Value::Text(RecommendationKindName(a.kind)),
-                     Value::Text(a.table),
-                     Value::Text(a.index_name),
-                     Value::Text(a.sql),
-                     Value::Text(a.inverse_sql),
-                     Value::Double(benefit),
-                     Value::Double(a.baseline_cost),
-                     Value::Double(a.observed_cost),
-                     Value::Int(a.observed_execs),
-                     Value::Int(a.proposed_at),
-                     Value::Int(a.applied_at),
-                     Value::Int(a.decided_at),
-                     Value::Text(a.detail),
-                     Value::Int(a.decision_id),
-                     Value::Text(a.rule)});
-    }
-    return out;
-  }
-
- private:
-  const TuningOrchestrator* orchestrator_;
-};
-
-class TuningProvenanceProvider : public catalog::VirtualTableProvider {
- public:
-  explicit TuningProvenanceProvider(const TuningOrchestrator* orchestrator)
-      : orchestrator_(orchestrator) {}
-
-  std::vector<ColumnInfo> Schema() const override {
-    return {Column("decision_id", TypeId::kInt),
-            Column("action_id", TypeId::kInt),
-            Column("rule", TypeId::kText),
-            Column("fingerprint", TypeId::kInt),
-            Column("executions", TypeId::kInt),
-            Column("total_actual", TypeId::kDouble),
-            Column("total_estimated", TypeId::kDouble),
-            Column("recommended_at", TypeId::kInt)};
-  }
-
-  std::vector<Row> Rows(int64_t) const override {
-    std::vector<Row> out;
-    for (const ProvenanceRecord& p : orchestrator_->SnapshotProvenance()) {
-      out.push_back({Value::Int(p.decision_id),
-                     Value::Int(p.action_id),
-                     Value::Text(p.rule),
-                     Value::Int(static_cast<int64_t>(p.fingerprint)),
-                     Value::Int(p.executions),
-                     Value::Double(p.total_actual),
-                     Value::Double(p.total_estimated),
-                     Value::Int(p.recommended_at)});
-    }
-    return out;
-  }
-
- private:
-  const TuningOrchestrator* orchestrator_;
-};
-
-}  // namespace
-
 Status RegisterTuningActionsTable(Database* db,
                                   const TuningOrchestrator* orchestrator) {
   if (db == nullptr || orchestrator == nullptr) {
     return Status::InvalidArgument("null database or orchestrator");
   }
-  return db->RegisterVirtualTable(
-      "imp_tuning_actions",
-      std::make_shared<TuningActionsProvider>(orchestrator));
+  return ima::RegisterTable(db, kActions, [orchestrator](int64_t) {
+    return ima::Materialize(orchestrator->SnapshotActions(), ActionRow);
+  });
 }
 
 Status RegisterTuningProvenanceTable(Database* db,
@@ -1010,9 +920,9 @@ Status RegisterTuningProvenanceTable(Database* db,
   if (db == nullptr || orchestrator == nullptr) {
     return Status::InvalidArgument("null database or orchestrator");
   }
-  return db->RegisterVirtualTable(
-      "imp_tuning_provenance",
-      std::make_shared<TuningProvenanceProvider>(orchestrator));
+  return ima::RegisterTable(db, kProvenance, [orchestrator](int64_t) {
+    return ima::Materialize(orchestrator->SnapshotProvenance(), ProvenanceRow);
+  });
 }
 
 std::vector<monitor::LifecycleSpan> ActionLifecycleSpans(

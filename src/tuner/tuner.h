@@ -142,8 +142,7 @@ struct TuningAction {
   /// unchanged from Recommendation.decision_id through every state, so
   /// audit rows, wl_tuning_provenance rows and trace spans join on it.
   int64_t decision_id = 0;
-  /// Analyzer rule that fired ("R1".."R5"); empty on pre-provenance rows
-  /// recovered from an old audit trail.
+  /// Analyzer rule that fired ("R1".."R5").
   std::string rule;
 };
 

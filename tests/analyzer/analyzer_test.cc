@@ -116,6 +116,28 @@ TEST_F(AnalyzerTest, IndexSelectionRecommendsUsefulIndex) {
   EXPECT_TRUE(improved);
 }
 
+TEST_F(AnalyzerTest, IndentedSelectGetsItsIndexRecommendation) {
+  MustExec("CREATE TABLE t (a INT, b INT)");
+  for (int i = 0; i < 4000; ++i) {
+    MustExec("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
+             std::to_string(i) + ")");
+  }
+  MustExec("ANALYZE t");
+  // The template's sample text keeps the leading whitespace.
+  for (int i = 0; i < 5; ++i) MustExec("\n  SELECT a FROM t WHERE b = 123");
+  Analyzer analyzer(&db_, nullptr);
+  auto report = analyzer.Analyze();
+  ASSERT_TRUE(report.ok());
+  bool found = false;
+  for (const auto& rec : report->recommendations) {
+    if (rec.kind == RecommendationKind::kCreateIndex && rec.table == "t" &&
+        rec.columns == std::vector<std::string>{"b"}) {
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << report->ToString();
+}
+
 TEST_F(AnalyzerTest, NoIndexRecommendedWhenAlreadyCovered) {
   MustExec("CREATE TABLE t (a INT, b INT)");
   for (int i = 0; i < 4000; ++i) {

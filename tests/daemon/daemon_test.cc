@@ -111,6 +111,24 @@ TEST_F(DaemonTest, WorkloadSchemaMirrorsImaTables) {
   }
 }
 
+TEST_F(DaemonTest, AlertsTableColumnsArePinned) {
+  StorageDaemon daemon(&monitored_, &workload_db_, FastConfig(), &clock_);
+  ASSERT_TRUE(RegisterAlertsTable(&monitored_, &daemon).ok());
+  auto provider = monitored_.catalog()->GetVirtualTable("imp_alerts");
+  ASSERT_NE(provider, nullptr);
+  using enum TypeId;
+  const std::vector<std::pair<std::string, TypeId>> expected = {
+      {"rule", kText}, {"series", kText}, {"state", kText}, {"value", kInt},
+      {"threshold", kInt}, {"breach_polls", kInt}, {"fire_count", kInt},
+      {"first_fired_micros", kInt}, {"last_fired_micros", kInt},
+      {"last_eval_micros", kInt}, {"message", kText}};
+  std::vector<std::pair<std::string, TypeId>> actual;
+  for (const catalog::ColumnInfo& c : provider->Schema()) {
+    actual.emplace_back(c.name, c.type);
+  }
+  EXPECT_EQ(actual, expected);
+}
+
 TEST_F(DaemonTest, PollAndFlushPersistWorkload) {
   StorageDaemon daemon(&monitored_, &workload_db_, FastConfig(), &clock_);
   ASSERT_TRUE(daemon.Initialize().ok());

@@ -22,6 +22,7 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "daemon/daemon.h"
@@ -570,6 +571,23 @@ TEST_F(ServerTest, ImpConnectionsReportsLiveSessions) {
     auto q = db_.Execute("SELECT count(*) FROM imp_connections");
     return q.ok() && q->rows[0][0].AsInt() == 1;
   })) << "closed connection still listed in imp_connections";
+}
+
+TEST_F(ServerTest, ImpConnectionsColumnsArePinned) {
+  StartServer();
+  ASSERT_TRUE(RegisterConnectionsTable(&db_, server_.get()).ok());
+  auto provider = db_.catalog()->GetVirtualTable("imp_connections");
+  ASSERT_NE(provider, nullptr);
+  using enum TypeId;
+  const std::vector<std::pair<std::string, TypeId>> expected = {
+      {"conn_id", kInt}, {"peer", kText}, {"state", kText},
+      {"requests", kInt}, {"bytes_in", kInt}, {"bytes_out", kInt},
+      {"last_activity_micros", kInt}};
+  std::vector<std::pair<std::string, TypeId>> actual;
+  for (const catalog::ColumnInfo& c : provider->Schema()) {
+    actual.emplace_back(c.name, c.type);
+  }
+  EXPECT_EQ(actual, expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -77,6 +77,20 @@ TEST(LexerTest, LineCommentsSkipped) {
   EXPECT_EQ(tokens[1].int_value, 1);
 }
 
+TEST(LexerTest, IsSelectStatementReadsTheFirstToken) {
+  EXPECT_TRUE(IsSelectStatement("SELECT 1"));
+  EXPECT_TRUE(IsSelectStatement("select*from t"));
+  EXPECT_TRUE(IsSelectStatement("\n  SeLeCt a FROM t"));
+  EXPECT_TRUE(IsSelectStatement("-- why\n  -- again\nSELECT a FROM t"));
+  EXPECT_TRUE(IsSelectStatement("select"));
+  EXPECT_FALSE(IsSelectStatement("selection FROM t"));
+  EXPECT_FALSE(IsSelectStatement("select_list"));
+  EXPECT_FALSE(IsSelectStatement("INSERT INTO t SELECT 1"));
+  EXPECT_FALSE(IsSelectStatement("-- SELECT\nDELETE FROM t"));
+  EXPECT_FALSE(IsSelectStatement("  sel"));
+  EXPECT_FALSE(IsSelectStatement(""));
+}
+
 TEST(LexerTest, UnexpectedCharacterFails) {
   EXPECT_FALSE(Tokenize("select @foo").ok());
   EXPECT_FALSE(Tokenize("#").ok());

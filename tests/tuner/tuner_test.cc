@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analyzer/analyzer.h"
@@ -391,6 +392,76 @@ TEST_F(TunerTest, CooldownSpacesApplsOnSameTable) {
   ASSERT_TRUE(orch.Tick().ok());
   EXPECT_TRUE(IndexExists("idx_t_c"));
   EXPECT_EQ(orch.stats().applied, 2);
+}
+
+using Columns = std::vector<std::pair<std::string, TypeId>>;
+
+Columns NamesAndTypes(const std::vector<catalog::ColumnInfo>& columns) {
+  Columns out;
+  for (const catalog::ColumnInfo& c : columns) out.emplace_back(c.name, c.type);
+  return out;
+}
+
+TEST_F(TunerTest, TableColumnsArePinned) {
+  ASSERT_TRUE(CreateTuningSchema(&workload_db_).ok());
+  TuningOrchestrator orch(&monitored_, &workload_db_, FastConfig(), &clock_);
+  ASSERT_TRUE(orch.Initialize().ok());
+  ASSERT_TRUE(RegisterTuningActionsTable(&monitored_, &orch).ok());
+  ASSERT_TRUE(RegisterTuningProvenanceTable(&monitored_, &orch).ok());
+  using enum TypeId;
+  const Columns actions = {
+      {"action_id", kInt}, {"state", kText}, {"kind", kText},
+      {"table_name", kText}, {"index_name", kText}, {"action_sql", kText},
+      {"inverse_sql", kText}, {"benefit", kDouble},
+      {"baseline_cost", kDouble}, {"observed_cost", kDouble},
+      {"observed_execs", kInt}, {"proposed_at", kInt}, {"applied_at", kInt},
+      {"decided_at", kInt}, {"detail", kText}, {"decision_id", kInt},
+      {"rule", kText}};
+  const Columns audit = {
+      {"action_id", kInt}, {"event_seq", kInt}, {"event_at", kInt},
+      {"state", kText}, {"kind", kText}, {"table_name", kText},
+      {"index_name", kText}, {"action_sql", kText}, {"inverse_sql", kText},
+      {"benefit", kDouble}, {"baseline_cost", kDouble},
+      {"baseline_execs", kInt}, {"applied_seq", kInt},
+      {"observed_cost", kDouble}, {"observed_execs", kInt}, {"detail", kText},
+      {"decision_id", kInt}, {"rule", kText}};
+  const Columns provenance = {
+      {"decision_id", kInt}, {"action_id", kInt}, {"rule", kText},
+      {"fingerprint", kInt}, {"executions", kInt}, {"total_actual", kDouble},
+      {"total_estimated", kDouble}, {"recommended_at", kInt}};
+
+  auto ima_columns = [&](const char* name) {
+    auto provider = monitored_.catalog()->GetVirtualTable(name);
+    return provider == nullptr ? Columns{} : NamesAndTypes(provider->Schema());
+  };
+  auto wl_columns = [&](const char* name) {
+    auto table = workload_db_.catalog()->GetTable(name);
+    return table.ok() ? NamesAndTypes(table->columns) : Columns{};
+  };
+  EXPECT_EQ(ima_columns("imp_tuning_actions"), actions);
+  EXPECT_EQ(ima_columns("imp_tuning_provenance"), provenance);
+  EXPECT_EQ(wl_columns("wl_tuning_actions"), audit);
+  EXPECT_EQ(wl_columns("wl_tuning_provenance"),
+            ima_columns("imp_tuning_provenance"));
+}
+
+TEST_F(TunerTest, AuditTrailWithOtherColumnsFailsRecovery) {
+  // A trail without the decision_id and rule columns.
+  MustExec(&workload_db_,
+           "CREATE TABLE wl_tuning_actions (action_id INT, event_seq INT, "
+           "event_at INT, state TEXT, kind TEXT, table_name TEXT, "
+           "index_name TEXT, action_sql TEXT, inverse_sql TEXT, "
+           "benefit DOUBLE, baseline_cost DOUBLE, baseline_execs INT, "
+           "applied_seq INT, observed_cost DOUBLE, observed_execs INT, "
+           "detail TEXT)");
+  MustExec(&workload_db_,
+           "INSERT INTO wl_tuning_actions VALUES (1, 1, 5, 'PROPOSED', "
+           "'CREATE INDEX', 't', 'idx_t_b', 'CREATE INDEX idx_t_b ON t (b)', "
+           "'DROP INDEX idx_t_b', 100.0, 0.0, 0, 0, 0.0, 0, 'test')");
+  TuningOrchestrator orch(&monitored_, &workload_db_, FastConfig(), &clock_);
+  Status s = orch.Initialize();
+  EXPECT_EQ(s.code(), StatusCode::kCorruption) << s;
+  EXPECT_TRUE(orch.SnapshotActions().empty());
 }
 
 TEST_F(TunerTest, DaemonFlushDrivesTheLoop) {
