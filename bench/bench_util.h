@@ -10,7 +10,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #if defined(__linux__) || defined(__APPLE__)
@@ -19,6 +21,15 @@
 
 #include "common/clock.h"
 #include "engine/database.h"
+
+// Configure-time stamps for BENCH_*.json (bench/targets.cmake defines
+// them for the targets that link imon_bench_env).
+#ifndef IMON_BUILD_TYPE
+#define IMON_BUILD_TYPE "unknown"
+#endif
+#ifndef IMON_GIT_COMMIT
+#define IMON_GIT_COMMIT "unknown"
+#endif
 
 namespace imon::bench {
 
@@ -87,7 +98,10 @@ inline std::string JsonOutputDir() {
 
 /// Collects named metrics and writes them as `BENCH_<bench>.json` under
 /// the build root (see JsonOutputDir), so successive runs leave a
-/// machine-readable trajectory next to the console output.
+/// machine-readable trajectory next to the console output. Each file
+/// carries an "env" object (core count, CPU model, build type, metrics
+/// layer on/off, configure-time commit) naming the host and build that
+/// produced its numbers.
 class JsonWriter {
  public:
   explicit JsonWriter(std::string bench_name)
@@ -109,6 +123,13 @@ class JsonWriter {
     }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"scale\": %.4f,\n",
                  Escaped(bench_name_).c_str(), BenchScale());
+    std::fprintf(f,
+                 "  \"env\": {\"nproc\": %u, \"cpu_model\": \"%s\", "
+                 "\"build_type\": \"%s\", \"metrics\": \"%s\", "
+                 "\"commit\": \"%s\"},\n",
+                 std::thread::hardware_concurrency(),
+                 Escaped(CpuModel()).c_str(), IMON_BUILD_TYPE,
+                 kMetricsCompiledIn ? "on" : "off", IMON_GIT_COMMIT);
     std::fprintf(f, "  \"metrics\": [\n");
     for (size_t i = 0; i < metrics_.size(); ++i) {
       const Entry& m = metrics_[i];
@@ -129,6 +150,26 @@ class JsonWriter {
     std::string unit;
     double value;
   };
+
+#ifdef IMON_METRICS_DISABLED
+  static constexpr bool kMetricsCompiledIn = false;
+#else
+  static constexpr bool kMetricsCompiledIn = true;
+#endif
+
+  /// The first "model name" of /proc/cpuinfo, or "unknown".
+  static std::string CpuModel() {
+    std::ifstream cpuinfo("/proc/cpuinfo");
+    std::string line;
+    while (std::getline(cpuinfo, line)) {
+      if (line.rfind("model name", 0) != 0) continue;
+      size_t colon = line.find(':');
+      if (colon == std::string::npos) break;
+      size_t start = line.find_first_not_of(' ', colon + 1);
+      return start == std::string::npos ? "unknown" : line.substr(start);
+    }
+    return "unknown";
+  }
 
   static std::string Escaped(const std::string& s) {
     std::string out;

@@ -12,10 +12,10 @@
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "common/ring_buffer.h"
 #include "engine/database.h"
 #include "ima/ima.h"
 #include "monitor/monitor.h"
-#include "monitor/ring_buffer.h"
 #include "sql/lexer.h"
 #include "sql/normalizer.h"
 #include "workload/nref.h"
@@ -136,7 +136,7 @@ void BM_SensorCommitTextOnly(benchmark::State& state) {
 BENCHMARK(BM_SensorCommitTextOnly);
 
 void BM_RingBufferPush(benchmark::State& state) {
-  monitor::RingBuffer<monitor::WorkloadRecord> ring(4000);
+  RingBuffer<monitor::WorkloadRecord> ring(4000);
   monitor::WorkloadRecord record;
   record.hash = 42;
   for (auto _ : state) {

@@ -2,10 +2,23 @@
 # Included from the top-level CMakeLists so the binaries land in a clean
 # ${CMAKE_BINARY_DIR}/bench directory.
 
+# The build type and the commit the tree was configured at, stamped into
+# every BENCH_*.json by bench_util.h's JsonWriter ("unknown" outside git).
+execute_process(COMMAND git rev-parse --short HEAD
+  WORKING_DIRECTORY ${CMAKE_SOURCE_DIR}
+  OUTPUT_VARIABLE IMON_GIT_COMMIT OUTPUT_STRIP_TRAILING_WHITESPACE
+  ERROR_QUIET)
+if(NOT IMON_GIT_COMMIT)
+  set(IMON_GIT_COMMIT unknown)
+endif()
+add_library(imon_bench_env INTERFACE)
+target_compile_definitions(imon_bench_env INTERFACE
+  IMON_BUILD_TYPE="${CMAKE_BUILD_TYPE}" IMON_GIT_COMMIT="${IMON_GIT_COMMIT}")
+
 function(imon_add_bench name)
   add_executable(${name} ${ARGN})
   target_include_directories(${name} PRIVATE ${CMAKE_SOURCE_DIR})
-  target_link_libraries(${name} PRIVATE
+  target_link_libraries(${name} PRIVATE imon_bench_env
     imon_workload imon_analyzer imon_daemon imon_ima imon_engine)
   set_target_properties(${name} PROPERTIES
     RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)

@@ -15,14 +15,7 @@ int64_t BucketFor(int64_t now_micros, int resolution_seconds) {
 
 MetricsHistory::Series& MetricsHistory::FindOrCreate(std::string_view name) {
   auto it = series_.find(name);
-  if (it == series_.end()) {
-    it = series_.emplace(std::string(name), Series{}).first;
-    // Each ring allocates its full fixed capacity up front; occupancy
-    // is tracked by head/size, never by the vector's length.
-    for (int r = 0; r < kResolutions; ++r) {
-      it->second.rings[r].entries.resize(kRingCapacity[r]);
-    }
-  }
+  if (it == series_.end()) it = series_.try_emplace(std::string(name)).first;
   return it->second;
 }
 
@@ -32,10 +25,10 @@ void MetricsHistory::Record(std::string_view name, int64_t value,
   std::lock_guard<std::mutex> lock(mutex_);
   Series& s = FindOrCreate(name);
   for (int r = 0; r < kResolutions; ++r) {
-    Ring& ring = s.rings[r];
+    RingBuffer<Entry>& ring = s.rings[r];
     int64_t bucket = BucketFor(now_micros, kResolutionSeconds[r]);
-    if (ring.size > 0) {
-      Entry& newest = ring.At(ring.size - 1);
+    if (ring.size() > 0) {
+      Entry& newest = ring.back();
       // Same bucket — or a late/backwards timestamp — merges; the rings
       // stay tick-monotonic no matter what the clock does.
       if (bucket <= newest.tick) {
@@ -80,9 +73,9 @@ std::vector<HistorySample> MetricsHistory::Snapshot() const {
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, s] : series_) {
     for (int r = 0; r < kResolutions; ++r) {
-      const Ring& ring = s.rings[r];
-      for (size_t i = 0; i < ring.size; ++i) {
-        const Entry& e = ring.At(i);
+      const RingBuffer<Entry>& ring = s.rings[r];
+      for (size_t i = 0; i < ring.size(); ++i) {
+        const Entry& e = ring[i];
         out.push_back(HistorySample{name, kResolutionSeconds[r], e.tick,
                                     e.min, e.max, e.sum, e.count, e.last});
       }
@@ -106,9 +99,9 @@ HistoryAggregate MetricsHistory::Aggregate(std::string_view name,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = series_.find(name);
   if (it == series_.end()) return agg;
-  const Ring& ring = it->second.rings[level];
-  for (size_t i = 0; i < ring.size; ++i) {
-    const Entry& e = ring.At(i);
+  const RingBuffer<Entry>& ring = it->second.rings[level];
+  for (size_t i = 0; i < ring.size(); ++i) {
+    const Entry& e = ring[i];
     if (e.tick < from_micros || e.tick > to_micros) continue;
     if (agg.ticks == 0) {
       agg.min = e.min;
@@ -139,9 +132,9 @@ std::vector<HistorySample> MetricsHistory::SnapshotRawCompletedSince(
       static_cast<int64_t>(kResolutionSeconds[0]) * 1'000'000;
   std::lock_guard<std::mutex> lock(mutex_);
   for (const auto& [name, s] : series_) {
-    const Ring& ring = s.rings[0];
-    for (size_t i = 0; i < ring.size; ++i) {
-      const Entry& e = ring.At(i);
+    const RingBuffer<Entry>& ring = s.rings[0];
+    for (size_t i = 0; i < ring.size(); ++i) {
+      const Entry& e = ring[i];
       if (e.tick <= min_tick_micros) continue;
       if (e.tick + kRawMicros > now_micros) continue;  // still open
       out.push_back(HistorySample{name, kResolutionSeconds[0], e.tick,

@@ -17,8 +17,9 @@
 // newest entry of each ring whose bucket it falls in (min/max/sum/
 // count/last), so the 1m and 10m rows are always consistent unions of
 // the raw ticks they cover — no cascade thread, no flush ordering.
-// Memory is strictly bounded: each series allocates its three rings
-// once (~50 KB) and wraps, evicting the oldest tick.
+// Memory is strictly bounded: each series holds one RingBuffer per
+// resolution (common/ring_buffer.h), reserved once at its capacity
+// (~50 KB for the three), which wraps, evicting the oldest tick.
 //
 // Exposed live as the `imp_metrics_history` IMA table and persisted by
 // the daemon into the retention-governed `wl_metrics_history`. Under
@@ -37,6 +38,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/ring_buffer.h"
 
 namespace imon::metrics {
 
@@ -120,31 +122,11 @@ class MetricsHistory {
     int64_t count = 0;
     int64_t last = 0;
   };
-  /// Fixed-capacity circular buffer; entries_[.] is allocated once at
-  /// full capacity when the series is created and never grows.
-  struct Ring {
-    std::vector<Entry> entries;
-    size_t head = 0;  ///< index of the oldest entry
-    size_t size = 0;
-
-    Entry& At(size_t logical) {
-      return entries[(head + logical) % entries.size()];
-    }
-    const Entry& At(size_t logical) const {
-      return entries[(head + logical) % entries.size()];
-    }
-    void Push(const Entry& e) {
-      if (size < entries.size()) {
-        entries[(head + size) % entries.size()] = e;
-        ++size;
-      } else {  // full: overwrite the oldest, advance head
-        entries[head] = e;
-        head = (head + 1) % entries.size();
-      }
-    }
-  };
   struct Series {
-    Ring rings[kResolutions];
+    RingBuffer<Entry> rings[kResolutions] = {
+        RingBuffer<Entry>(kRingCapacity[0]),
+        RingBuffer<Entry>(kRingCapacity[1]),
+        RingBuffer<Entry>(kRingCapacity[2])};
   };
 
   Series& FindOrCreate(std::string_view name);

@@ -94,7 +94,12 @@ Database::Database(DatabaseOptions options)
   workers_->AttachMetrics(&metrics_);
   exec_metrics_ = exec::ExecMetrics::Resolve(&metrics_);
   if (options_.plan_cache_capacity > 0) {
+    const size_t per_stripe =
+        (options_.plan_cache_capacity + kPlanCacheStripes - 1) /
+        kPlanCacheStripes;
     for (size_t i = 0; i < kPlanCacheStripes; ++i) {
+      plan_cache_stripes_[i].plans =
+          KeyedWindow<std::shared_ptr<const CachedPlan>>(per_stripe);
       std::string prefix = "plan_cache.stripe" + std::to_string(i);
       plan_cache_stripes_[i].m_hits = metrics_.GetCounter(prefix + ".hits");
       plan_cache_stripes_[i].m_misses =
@@ -150,14 +155,14 @@ std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
     uint64_t hash) {
   PlanCacheStripe& stripe = StripeFor(hash);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  auto it = stripe.entries.find(hash);
-  if (it == stripe.entries.end()) {
+  std::shared_ptr<const CachedPlan>* plan = stripe.plans.Find(hash);
+  if (plan == nullptr || *plan == nullptr) {
     ++stripe.misses;
     if (stripe.m_misses != nullptr) stripe.m_misses->Add();
     return nullptr;
   }
-  if (it->second->catalog_version != catalog_.version()) {
-    stripe.entries.erase(it);
+  if ((*plan)->catalog_version != catalog_.version()) {
+    plan->reset();
     ++stripe.invalidations;
     ++stripe.misses;
     if (stripe.m_invalidations != nullptr) stripe.m_invalidations->Add();
@@ -166,24 +171,16 @@ std::shared_ptr<const Database::CachedPlan> Database::LookupPlanCache(
   }
   ++stripe.hits;
   if (stripe.m_hits != nullptr) stripe.m_hits->Add();
-  return it->second;
+  return *plan;
 }
 
 void Database::StorePlanCache(uint64_t hash,
                               std::shared_ptr<const CachedPlan> entry) {
-  size_t per_stripe =
-      (options_.plan_cache_capacity + kPlanCacheStripes - 1) /
-      kPlanCacheStripes;
-  if (per_stripe == 0) per_stripe = 1;
   PlanCacheStripe& stripe = StripeFor(hash);
   std::lock_guard<std::mutex> lock(stripe.mutex);
-  while (stripe.entries.size() >= per_stripe && !stripe.fifo.empty()) {
-    stripe.entries.erase(stripe.fifo.front());
-    stripe.fifo.pop_front();
-  }
-  if (stripe.entries.emplace(hash, std::move(entry)).second) {
-    stripe.fifo.push_back(hash);
-  }
+  std::shared_ptr<const CachedPlan>* plan = stripe.plans.Find(hash);
+  if (plan == nullptr) plan = &stripe.plans.Insert(hash);
+  *plan = std::move(entry);
 }
 
 PlanCacheStats Database::plan_cache_stats() const {
@@ -193,7 +190,9 @@ PlanCacheStats Database::plan_cache_stats() const {
     out.hits += stripe.hits;
     out.misses += stripe.misses;
     out.invalidations += stripe.invalidations;
-    out.entries += static_cast<int64_t>(stripe.entries.size());
+    for (const auto& [hash, plan] : stripe.plans.slots()) {
+      out.entries += plan != nullptr;
+    }
   }
   return out;
 }
@@ -421,15 +420,23 @@ Result<QueryResult> Database::RunPlannedSelect(const CachedPlan& planned,
   return out;
 }
 
-Result<QueryResult> Database::ExecExplain(sql::ExplainStmt* stmt,
-                                          Session* /*session*/) {
-  auto* select = static_cast<sql::SelectStmt*>(stmt->inner.get());
+Result<PlanSummary> Database::SummarizeSelect(
+    sql::SelectStmt* stmt, const std::vector<IndexInfo>& virtual_indexes) {
   Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  Planner planner(&catalog_, planner_options());
+  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(stmt));
+  PlannerOptions options = planner_options();
+  options.virtual_indexes = virtual_indexes;
+  Planner planner(&catalog_, options);
   IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
                         planner.PlanJoinTree(bound));
-  PlanSummary summary = planner.Summarize(*plan, bound);
+  return planner.Summarize(*plan, bound);
+}
+
+Result<QueryResult> Database::ExecExplain(sql::ExplainStmt* stmt,
+                                          Session* /*session*/) {
+  IMON_ASSIGN_OR_RETURN(
+      PlanSummary summary,
+      SummarizeSelect(static_cast<sql::SelectStmt*>(stmt->inner.get()), {}));
   QueryResult out;
   out.columns = {"plan"};
   std::istringstream lines(summary.plan_text);
@@ -452,16 +459,11 @@ Result<WhatIfResult> Database::WhatIfPlan(
   if (stmt->kind() != sql::StatementKind::kSelect) {
     return Status::InvalidArgument("what-if planning requires a SELECT");
   }
-  auto* select = static_cast<sql::SelectStmt*>(stmt.get());
-  Binder binder(&catalog_);
-  IMON_ASSIGN_OR_RETURN(BoundSelect bound, binder.BindSelect(select));
-  PlannerOptions options = planner_options();
-  options.virtual_indexes = virtual_indexes;
-  Planner planner(&catalog_, options);
-  IMON_ASSIGN_OR_RETURN(std::unique_ptr<PlanNode> plan,
-                        planner.PlanJoinTree(bound));
   WhatIfResult out;
-  out.summary = planner.Summarize(*plan, bound);
+  IMON_ASSIGN_OR_RETURN(
+      out.summary,
+      SummarizeSelect(static_cast<sql::SelectStmt*>(stmt.get()),
+                      virtual_indexes));
   for (ObjectId id : out.summary.used_indexes) {
     for (const auto& vi : virtual_indexes) {
       if (vi.id == id) out.virtual_indexes_used.push_back(id);

@@ -1,8 +1,9 @@
 // Database engine facade: the full statement path
 //   Execute -> Parse -> Bind -> Optimize -> Execute -> Result
 // with the monitor's sensors wired at each stage (paper Fig. 2), DDL/DML
-// dispatch, sessions + transactions, triggers, virtual tables and the
-// what-if (virtual index) interface.
+// dispatch, sessions + transactions, triggers, virtual tables, the
+// what-if (virtual index) interface and the optional plan cache (one
+// keyed window of plans per stripe, invalidated by catalog version).
 
 #ifndef IMON_ENGINE_DATABASE_H_
 #define IMON_ENGINE_DATABASE_H_
@@ -10,7 +11,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <deque>
 #include <unordered_map>
 #include <functional>
 #include <memory>
@@ -21,6 +21,7 @@
 
 #include "catalog/catalog.h"
 #include "common/clock.h"
+#include "common/keyed_window.h"
 #include "common/metrics.h"
 #include "common/metrics_history.h"
 #include "common/status.h"
@@ -299,6 +300,13 @@ class Database {
   /// Planner options from the engine's options (no virtual indexes).
   optimizer::PlannerOptions planner_options() const;
 
+  /// Bind and plan a SELECT, the planner also seeing `virtual_indexes`,
+  /// and summarize the plan; no sensor runs. EXPLAIN and what-if
+  /// planning share it.
+  Result<optimizer::PlanSummary> SummarizeSelect(
+      sql::SelectStmt* stmt,
+      const std::vector<catalog::IndexInfo>& virtual_indexes);
+
   /// Bind, plan, summarize and compile a SELECT into `out` (all but its
   /// `stmt` and `fingerprint`), feeding the bind and optimize sensors.
   /// The one planning path: the uncached SELECT runs it, and the
@@ -421,12 +429,14 @@ class Database {
 
   /// Plan cache, striped by statement hash so concurrent sessions with
   /// disjoint working sets do not contend on one mutex. Capacity is
-  /// split evenly across stripes (rounded up); FIFO eviction per stripe.
+  /// split evenly across stripes (rounded up); each stripe is a keyed
+  /// window (common/keyed_window.h) evicting its oldest arrival. A stale
+  /// plan found by a lookup is freed and its slot left null, so the
+  /// statement's re-store refills that slot in place.
   static constexpr size_t kPlanCacheStripes = 8;
   struct PlanCacheStripe {
     mutable std::mutex mutex;
-    std::unordered_map<uint64_t, std::shared_ptr<const CachedPlan>> entries;
-    std::deque<uint64_t> fifo;
+    KeyedWindow<std::shared_ptr<const CachedPlan>> plans{1};
     int64_t hits = 0;
     int64_t misses = 0;
     int64_t invalidations = 0;

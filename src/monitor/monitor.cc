@@ -5,7 +5,6 @@
 #include <cmath>
 #include <limits>
 #include <thread>
-#include <tuple>
 
 #include "sql/normalizer.h"
 
@@ -87,8 +86,7 @@ Monitor::Monitor(MonitorConfig config, const Clock* clock)
   config_.shards = shards;
   shards_.reserve(shards);
   for (size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(config_.statement_window,
-                                              config_.workload_window));
+    shards_.push_back(std::make_unique<Shard>(config_));
   }
 }
 
@@ -189,43 +187,37 @@ void Monitor::Commit(QueryTrace* trace) {
   std::unique_lock<std::mutex> lock(shard.mutex);
   // -- compressed-template aggregate: sees EVERY commit, before the
   // sampling decision, so template counts stay exact under sampling.
-  auto tit = shard.templates.find(fingerprint);
-  bool t_created = false;
-  std::string template_text;
-  if (tit == shard.templates.end()) {
+  TemplateEntry* entry = shard.templates.Find(fingerprint);
+  if (entry == nullptr) {
     // A new template needs its text; build it outside the shard lock
     // (once per template), then look again: another session of this
     // shard may have created it meanwhile.
     lock.unlock();
-    template_text = sql::NormalizeStatement(trace->text).template_text;
+    std::string template_text =
+        sql::NormalizeStatement(trace->text).template_text;
     lock.lock();
-    std::tie(tit, t_created) = shard.templates.try_emplace(fingerprint);
-  }
-  TemplateEntry& entry = tit->second;
-  TemplateRecord& tmpl = entry.record;
-  if (t_created) {
-    while (shard.templates.size() > config_.template_window &&
-           !shard.template_arrivals.empty()) {
-      uint64_t victim = shard.template_arrivals.front();
-      shard.template_arrivals.pop_front();
-      if (victim == fingerprint) continue;
-      auto vit = shard.templates.find(victim);
-      if (vit == shard.templates.end()) continue;
-      if (vit->second.refs != nullptr) ReleaseRefSet(shard, vit->second.refs);
-      shard.templates.erase(vit);
+    entry = shard.templates.Find(fingerprint);
+    if (entry == nullptr) {
+      // At capacity this is the oldest template's slot: its reference
+      // set folds into the shard's residual frequencies before reuse.
+      entry = &shard.templates.Insert(fingerprint);
+      if (entry->refs != nullptr) ReleaseRefSet(shard, entry->refs);
+      *entry = TemplateEntry{};
+      TemplateRecord& fresh = entry->record;
+      fresh.fingerprint = fingerprint;
+      fresh.template_text = std::move(template_text);
+      fresh.sample_hash = trace->hash;
+      fresh.sample_text = trace->text;
+      fresh.first_seen_micros = trace->wall_start_micros;
+      fresh.last_seen_micros = trace->wall_start_micros;
+      fresh.ref_tables = trace->ref_tables;
+      fresh.ref_attributes = trace->ref_attributes;
     }
-    shard.template_arrivals.push_back(fingerprint);
-    tmpl.fingerprint = fingerprint;
-    tmpl.template_text = std::move(template_text);
-    tmpl.sample_hash = trace->hash;
-    tmpl.sample_text = trace->text;
-    tmpl.first_seen_micros = trace->wall_start_micros;
-    tmpl.last_seen_micros = trace->wall_start_micros;
-    tmpl.ref_tables = trace->ref_tables;
-    tmpl.ref_attributes = trace->ref_attributes;
-  } else if (trace->wall_start_micros < tmpl.first_seen_micros ||
-             (trace->wall_start_micros == tmpl.first_seen_micros &&
-              trace->hash < tmpl.sample_hash)) {
+  }
+  TemplateRecord& tmpl = entry->record;
+  if (trace->wall_start_micros < tmpl.first_seen_micros ||
+      (trace->wall_start_micros == tmpl.first_seen_micros &&
+       trace->hash < tmpl.sample_hash)) {
     // Deterministic representative: min (first_seen, raw hash). The
     // compression sweep's raw-row oracle applies the identical rule.
     tmpl.sample_hash = trace->hash;
@@ -247,7 +239,7 @@ void Monitor::Commit(QueryTrace* trace) {
 
   // -- object frequencies count executions, not retained raw rows: the
   // reference set counts every commit that bound it.
-  RefSet* refs = CurrentRefSet(shard, entry, *trace);
+  RefSet* refs = CurrentRefSet(shard, *entry, *trace);
   refs->executions += 1;
   for (ObjectId idx : trace->used_indexes) {
     auto use = std::find_if(refs->used.begin(), refs->used.end(),
@@ -375,6 +367,7 @@ void Monitor::RegisterStatement(Shard& shard, const QueryTrace& trace) {
   // arrival is evicted, and the newcomer takes over its slot and text
   // buffer.
   StatementRecord& row = shard.statements.Insert(trace.hash);
+  row.hash = trace.hash;
   row.text.assign(trace.text);
   row.frequency = 1;
   row.first_seen_micros = trace.wall_start_micros;
@@ -435,8 +428,8 @@ std::vector<StatementRecord> Monitor::SnapshotStatements(
   {
     auto locks = LockAllShards();
     for (const auto& shard : shards_) {
-      for (const StatementRecord& record : shard->statements.rows()) {
-        auto [it, inserted] = merged.emplace(record.hash, record);
+      for (const auto& [hash, record] : shard->statements.slots()) {
+        auto [it, inserted] = merged.emplace(hash, record);
         if (!inserted) {
           it->second.frequency += record.frequency;
           it->second.first_seen_micros = std::min(it->second.first_seen_micros,
@@ -471,7 +464,7 @@ std::vector<TemplateRecord> Monitor::SnapshotTemplates(
   {
     auto locks = LockAllShards();
     for (const auto& shard : shards_) {
-      for (const auto& [fp, entry] : shard->templates) {
+      for (const auto& [fp, entry] : shard->templates.slots()) {
         const TemplateRecord& rec = entry.record;
         auto [it, inserted] = merged.emplace(fp, rec);
         if (inserted) continue;
@@ -720,8 +713,7 @@ void Monitor::Clear() {
     auto locks = LockAllShards();
     for (const auto& shard : shards_) {
       shard->statements.Clear();
-      shard->templates.clear();
-      shard->template_arrivals.clear();
+      shard->templates.Clear();
       shard->workload.Clear();
       shard->free_sets.clear();
       for (const auto& set : shard->ref_sets) {

@@ -26,8 +26,9 @@
 //
 // Concurrency (DESIGN.md "Concurrency model"): the publish side is
 // SHARDED. The monitor owns N shards (power of two; default: hardware
-// concurrency), each with its own mutex, workload ring, statement
-// registry, reference sets and latency histograms. Commit hashes the
+// concurrency), each with its own mutex, workload ring, statement and
+// template registries (keyed windows, common/keyed_window.h), reference
+// sets and latency histograms. Commit hashes the
 // committing session id to a shard and takes only that shard's lock, so
 // concurrent sessions publish in parallel. A single global atomic `next_seq_`
 // allocates sequence numbers, preserving the total order that the
@@ -42,7 +43,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <iterator>
 #include <limits>
 #include <map>
@@ -55,9 +55,9 @@
 
 #include "common/clock.h"
 #include "common/hash.h"
+#include "common/keyed_window.h"
 #include "common/metrics.h"
-#include "monitor/ring_buffer.h"
-#include "monitor/statement_registry.h"
+#include "common/ring_buffer.h"
 
 namespace imon::monitor {
 
@@ -165,6 +165,18 @@ struct ReferenceRecord {
   ObjectId object_id = -1;
   ObjectId table_id = -1;
   int ordinal = -1;  ///< attribute ordinal (kAttribute only)
+};
+
+/// One imp_statements row: a distinct statement hash.
+struct StatementRecord {
+  uint64_t hash = 0;
+  std::string text;
+  int64_t frequency = 0;
+  int64_t first_seen_micros = 0;
+  int64_t last_seen_micros = 0;
+  /// Bumped every time the record changes (insert or frequency update),
+  /// from its own seq domain; lets the daemon poll only changed rows.
+  int64_t seq = 0;
 };
 
 struct WorkloadRecord {
@@ -593,15 +605,17 @@ class Monitor {
 
   /// Everything one commit touches, behind one mutex.
   struct Shard {
-    Shard(size_t statement_window, size_t workload_window)
-        : statements(statement_window), workload(workload_window) {}
+    explicit Shard(const MonitorConfig& config)
+        : statements(config.statement_window),
+          templates(config.template_window),
+          workload(config.workload_window) {}
 
     mutable std::mutex mutex;
-    StatementRegistry statements;
-    /// Compressed-template registry (fingerprint -> rolling aggregate),
-    /// bounded to template_window with FIFO eviction.
-    std::unordered_map<uint64_t, TemplateEntry> templates;
-    std::deque<uint64_t> template_arrivals;
+    /// Statement registry (hash -> imp_statements row) and compressed-
+    /// template registry (fingerprint -> rolling aggregate), each bounded
+    /// to its window with FIFO-by-first-arrival eviction.
+    KeyedWindow<StatementRecord> statements;
+    KeyedWindow<TemplateEntry> templates;
     RingBuffer<KeptRecord> workload;
     /// Every set this shard built; those with no holders are free and
     /// listed in free_sets for reuse.

@@ -996,6 +996,112 @@ TEST_F(DatabaseTest, PlanCacheHitsAndInvalidation) {
   EXPECT_GT(db.plan_cache_stats().invalidations, 0);
 }
 
+TEST_F(DatabaseTest, PlanCacheBoundedUnderInvalidationChurn) {
+  // The index the DDL churns is on a column no query filters on, so it
+  // only moves the catalog version: every cached plan goes stale.
+  auto fill = [](Database* db) {
+    auto session = db->CreateSession();
+    std::string insert = "INSERT INTO t VALUES ";
+    for (int i = 0; i < 200; ++i) {
+      insert += (i > 0 ? ", (" : "(") + std::to_string(i) + ", " +
+                std::to_string(i % 17) + ", " + std::to_string(i * 3) + ")";
+    }
+    for (const std::string& sql :
+         {std::string("CREATE TABLE t (v INT PRIMARY KEY, w INT, x INT)"),
+          insert}) {
+      auto r = db->Execute(sql, session.get());
+      ASSERT_TRUE(r.ok()) << sql << " -> " << r.status();
+    }
+  };
+  // 24 statements over 16 slots, so the threaded phase evicts too; the
+  // first 12 spread at most two to a stripe.
+  std::vector<std::string> queries;
+  for (int i = 0; i < 12; ++i) {
+    queries.push_back("SELECT w FROM t WHERE v = " + std::to_string(i * 2));
+    queries.push_back("SELECT count(*) FROM t WHERE w = " +
+                      std::to_string(i));
+  }
+  std::vector<std::vector<Row>> expected;
+  {
+    Database off{DatabaseOptions{}};
+    fill(&off);
+    for (const std::string& q : queries) {
+      auto r = off.Execute(q);
+      ASSERT_TRUE(r.ok()) << q << " -> " << r.status();
+      expected.push_back(r->rows);
+    }
+  }
+  constexpr int64_t kCapacity = 16;
+  DatabaseOptions options;
+  options.plan_cache_capacity = kCapacity;
+  Database db(options);
+  fill(&db);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  auto reader = [&]() {
+    auto session = db.CreateSession();
+    while (!done.load()) {
+      for (size_t i = 0; i < queries.size(); ++i) {
+        auto r = db.Execute(queries[i], session.get());
+        if (!r.ok() || r->rows != expected[i] ||
+            db.plan_cache_stats().entries > kCapacity) {
+          failures.fetch_add(1);
+        }
+      }
+    }
+  };
+  std::thread r1(reader);
+  std::thread r2(reader);
+  {
+    auto session = db.CreateSession();
+    for (int i = 0; i < 200; ++i) {
+      for (const char* ddl : {"CREATE INDEX t_x ON t (x)", "DROP INDEX t_x"}) {
+        auto r = db.Execute(ddl, session.get());
+        if (!r.ok()) failures.fetch_add(1);
+      }
+    }
+  }
+  done.store(true);
+  r1.join();
+  r2.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(db.plan_cache_stats().entries, kCapacity);
+  EXPECT_GT(db.plan_cache_stats().invalidations, 0);
+
+  // Single-threaded: once every plan of a query set that fits its
+  // stripes is cached, a DDL statement makes each of them stale; the
+  // next round's lookups are exactly the stale ones, and each re-store
+  // refills its slot without evicting.
+  constexpr size_t kCached = 12;
+  Database solo(options);
+  fill(&solo);
+  auto run_all = [&]() {
+    for (size_t i = 0; i < kCached; ++i) {
+      auto r = solo.Execute(queries[i]);
+      ASSERT_TRUE(r.ok()) << queries[i] << " -> " << r.status();
+      EXPECT_EQ(r->rows, expected[i]) << queries[i];
+    }
+  };
+  run_all();
+  ASSERT_EQ(solo.plan_cache_stats().entries, static_cast<int64_t>(kCached));
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    ASSERT_TRUE(solo.Execute(cycle % 2 == 0 ? "CREATE INDEX t_x ON t (x)"
+                                            : "DROP INDEX t_x")
+                    .ok());
+    PlanCacheStats start = solo.plan_cache_stats();
+    run_all();
+    PlanCacheStats stale = solo.plan_cache_stats();
+    EXPECT_EQ(stale.invalidations - start.invalidations, start.entries);
+    EXPECT_EQ(stale.misses - start.misses, start.entries);
+    EXPECT_EQ(stale.entries, start.entries);
+    run_all();
+    PlanCacheStats fresh = solo.plan_cache_stats();
+    EXPECT_EQ(fresh.invalidations, stale.invalidations);
+    EXPECT_EQ(fresh.hits - stale.hits, static_cast<int64_t>(kCached));
+  }
+}
+
 TEST_F(DatabaseTest, PlanCacheMonitoredLikeNormalStatements) {
   DatabaseOptions options;
   options.plan_cache_capacity = 16;

@@ -334,6 +334,43 @@ TEST(MonitorTest, TemplateWindowEvictsOldest) {
   }
 }
 
+TEST(MonitorTest, TemplateEvictionFoldsReferenceFrequencies) {
+  MonitorConfig config = SmallConfig();
+  config.template_window = 2;
+  Monitor m(config, RealClock::Instance());
+  // No raw records are kept, so each template's reference set has the
+  // template as its only holder: evicting the template retires the set.
+  m.SetWorkloadSampleRate(0);
+  auto run = [&m](ObjectId table, int times) {
+    for (int i = 0; i < times; ++i) {
+      QueryTrace trace;
+      m.OnQueryStart(&trace);
+      m.OnParseComplete(&trace, "SELECT a FROM t" + std::to_string(table));
+      m.OnBindComplete(&trace, {table}, {{table, 0}}, {});
+      m.OnOptimizeComplete(&trace, 1.0, 1.0, {}, 100, 0);
+      m.OnExecuteComplete(&trace, 1000, 2, 2.0, 10, 3);
+      m.Commit(&trace);
+    }
+  };
+  run(1, 3);
+  run(2, 2);
+  run(3, 1);  // evicts t1's template
+  ASSERT_EQ(m.SnapshotTemplates().size(), 2u);
+  EXPECT_EQ(m.TableFrequencies(),
+            (std::map<ObjectId, int64_t>{{1, 3}, {2, 2}, {3, 1}}));
+  EXPECT_EQ((m.AttributeFrequencies()[{1, 0}]), 3);
+
+  run(1, 4);  // t1 comes back as a new template and evicts t2's
+  EXPECT_EQ(m.TableFrequencies(),
+            (std::map<ObjectId, int64_t>{{1, 7}, {2, 2}, {3, 1}}));
+  for (const auto& t : m.SnapshotTemplates()) {
+    EXPECT_NE(t.template_text, "select a from t2");
+    if (t.template_text == "select a from t1") {
+      EXPECT_EQ(t.executions, 4);
+    }
+  }
+}
+
 TEST(MonitorTest, SamplingKeepsTemplateCountsExact) {
   MonitorConfig config = SmallConfig();
   config.workload_window = 256;
@@ -521,91 +558,6 @@ TEST(MonitorTest, RegistryChurnMatchesArrivalOrderModel) {
       EXPECT_EQ(r.seq, expect->second.seq);
     }
   }
-}
-
-TEST(StatementRegistryTest, CollidingHashesSurviveEviction) {
-  // Hashes whose home is one of the index's last two or first bucket
-  // (its top five bits after the Fibonacci multiply; 32 buckets for a
-  // window of 16): long probe runs that wrap around the end, so
-  // eviction's backward shift is exercised; checked against a map.
-  StatementRegistry registry(16);
-  std::mt19937_64 rng(11);
-  std::vector<uint64_t> pool;
-  while (pool.size() < 48) {
-    uint64_t h = rng();
-    uint64_t home = (h * 0x9e3779b97f4a7c15ULL) >> 59;
-    if (home == 0 || home >= 30) pool.push_back(h);
-  }
-  std::unordered_map<uint64_t, int64_t> model;
-  std::deque<uint64_t> arrivals;
-  for (int i = 0; i < 5000; ++i) {
-    uint64_t hash = pool[rng() % pool.size()];
-    if (StatementRecord* row = registry.Find(hash)) {
-      ASSERT_TRUE(model.count(hash)) << i;
-      row->frequency += 1;
-      model[hash] += 1;
-      continue;
-    }
-    ASSERT_FALSE(model.count(hash)) << i;
-    if (arrivals.size() == 16) {
-      model.erase(arrivals.front());
-      arrivals.pop_front();
-    }
-    arrivals.push_back(hash);
-    model[hash] = 1;
-    StatementRecord& row = registry.Insert(hash);
-    row.frequency = 1;
-    for (const auto& [h, freq] : model) {
-      StatementRecord* found = registry.Find(h);
-      ASSERT_NE(found, nullptr) << i;
-      EXPECT_EQ(found->hash, h);
-      EXPECT_EQ(found->frequency, freq);
-    }
-  }
-  registry.Clear();
-  EXPECT_TRUE(registry.rows().empty());
-  EXPECT_EQ(registry.Find(arrivals.back()), nullptr);
-}
-
-TEST(RingBufferTest, BasicPushAndWrap) {
-  RingBuffer<int> ring(3);
-  EXPECT_EQ(ring.capacity(), 3u);
-  ring.Push(1);
-  ring.Push(2);
-  EXPECT_FALSE(ring.full());
-  ring.Push(3);
-  EXPECT_TRUE(ring.full());
-  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{1, 2, 3}));
-  ring.Push(4);
-  EXPECT_EQ(ring.Snapshot(), (std::vector<int>{2, 3, 4}));
-  EXPECT_EQ(ring.overwritten(), 1);
-}
-
-TEST(RingBufferTest, ZeroCapacityClampsToOne) {
-  RingBuffer<int> ring(0);
-  ring.Push(1);
-  ring.Push(2);
-  EXPECT_EQ(ring.Snapshot(), std::vector<int>{2});
-}
-
-TEST(RingBufferTest, SnapshotTailStopsAtFirstOldEntry) {
-  RingBuffer<int> ring(5);
-  for (int i = 1; i <= 7; ++i) ring.Push(i);  // holds 3..7
-  auto tail = ring.SnapshotTail([](int v) { return v > 5; });
-  EXPECT_EQ(tail, (std::vector<int>{6, 7}));
-  auto all = ring.SnapshotTail([](int) { return true; });
-  EXPECT_EQ(all, (std::vector<int>{3, 4, 5, 6, 7}));
-  auto none = ring.SnapshotTail([](int) { return false; });
-  EXPECT_TRUE(none.empty());
-}
-
-TEST(RingBufferTest, ClearEmptiesBuffer) {
-  RingBuffer<int> ring(2);
-  ring.Push(1);
-  ring.Clear();
-  EXPECT_EQ(ring.size(), 0u);
-  ring.Push(9);
-  EXPECT_EQ(ring.Snapshot(), std::vector<int>{9});
 }
 
 }  // namespace
